@@ -7,16 +7,20 @@ correctness checks (no loss/duplication/corruption across migration) are
 meaningful.  ``mremap`` relocates a VMA's virtual range while keeping its
 backing store — the primitive the paper relies on to restore MR memory and
 on-chip memory at the application's original virtual addresses (§3.2, §3.3).
+Bulk RDMA payloads cross from one store to another as a :class:`PageRun` —
+the page images themselves, by reference (DESIGN.md §12.3).
 """
 
-from repro.mem.paging import PageStore
+from repro.mem.paging import PageRun, PageStore, Payload
 from repro.mem.address_space import VMA, AddressSpace, MemoryError_, align_down, align_up
 
 __all__ = [
     "VMA",
     "AddressSpace",
     "MemoryError_",
+    "PageRun",
     "PageStore",
+    "Payload",
     "align_down",
     "align_up",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import PAGE_SIZE
-from repro.mem.paging import PageStore
+from repro.mem.paging import PageStore, Payload
 
 
 class MemoryError_(Exception):
@@ -187,26 +187,38 @@ class AddressSpace:
 
     # -- data access ---------------------------------------------------------
 
-    def read(self, addr: int, size: int) -> bytes:
-        """Read bytes, spanning VMAs if contiguous; raises on holes."""
+    def _spans(self, addr: int, size: int, op: str) -> List[Tuple[VMA, int, int]]:
+        """``(vma, offset, length)`` pieces covering ``[addr, addr+size)``;
+        raises on a hole, before the caller has touched anything."""
+        spans = []
+        while size > 0:
+            vma = self.find(addr)
+            if vma is None:
+                raise MemoryError_(f"{self.name}: {op} fault at {addr:#x}")
+            take = min(size, vma.end - addr)
+            spans.append((vma, addr - vma.start, take))
+            addr += take
+            size -= take
+        return spans
+
+    def read(self, addr: int, size: int, as_run: bool = False) -> Payload:
+        """Read bytes, spanning VMAs if contiguous; raises on holes.
+
+        Applications always get ``bytes``.  The NIC's DMA path passes
+        ``as_run`` and may get a :class:`~repro.mem.paging.PageRun`.
+        """
         vma = self.find(addr)
         if vma is None:
             raise MemoryError_(f"{self.name}: read fault at {addr:#x}")
         if addr + size <= vma.end:
             # Fast path: the whole range lives in one VMA.
-            return vma.store.read(addr - vma.start, size)
-        chunks = []
-        while size > 0:
-            if vma is None:
-                raise MemoryError_(f"{self.name}: read fault at {addr:#x}")
-            take = min(size, vma.end - addr)
-            chunks.append(vma.store.read(addr - vma.start, take))
-            addr += take
-            size -= take
-            vma = self.find(addr) if size > 0 else None
-        return b"".join(chunks)
+            return vma.store.read(addr - vma.start, size, as_run)
+        return b"".join(vma.store.read(offset, take)
+                        for vma, offset, take in self._spans(addr, size, "read"))
 
-    def write(self, addr: int, data: bytes) -> None:
+    def write(self, addr: int, data: Payload) -> None:
+        """Write bytes, spanning VMAs if contiguous; raises on holes
+        without having written anything."""
         size = len(data)
         vma = self.find(addr)
         if vma is not None and addr + size <= vma.end:
@@ -214,12 +226,8 @@ class AddressSpace:
             vma.store.write(addr - vma.start, data)
             return
         pos = 0
-        while pos < size:
-            vma = self.find(addr + pos)
-            if vma is None:
-                raise MemoryError_(f"{self.name}: write fault at {addr + pos:#x}")
-            take = min(size - pos, vma.end - (addr + pos))
-            vma.store.write(addr + pos - vma.start, data[pos:pos + take])
+        for vma, offset, take in self._spans(addr, size, "write"):
+            vma.store.write(offset, data[pos:pos + take])
             pos += take
 
     # -- migration support -----------------------------------------------------

@@ -7,12 +7,62 @@ dirty set records which pages changed since the last
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from repro.config import PAGE_SIZE
 
 #: Shared zero page for reads of never-written ranges.
 _ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+class PageRun:
+    """A bulk payload: consecutive whole page images, held by reference.
+
+    What the NIC's DMA path carries from one :class:`PageStore` to another
+    in place of one joined ``bytes``.  The pages are immutable ``bytes``,
+    so a run is fixed once built and any number of stores may hold the same
+    page objects.  It answers what a payload is asked — ``len()``,
+    truthiness, ``bytes()``, ``==`` against bytes, and slicing; a slice on
+    page boundaries is again a run (or the one page, or ``b""``), any other
+    slice materialises.
+    """
+
+    __slots__ = ("pages",)
+
+    def __init__(self, pages: List[bytes]):
+        self.pages = pages
+
+    def __len__(self) -> int:
+        return len(self.pages) * PAGE_SIZE
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.pages)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is PageRun:
+            return self.pages == other.pages
+        if isinstance(other, (bytes, bytearray, memoryview)):
+            return len(other) == len(self) and bytes(self) == other
+        return NotImplemented
+
+    def __getitem__(self, key):
+        if type(key) is slice:
+            start, stop, step = key.indices(len(self))
+            if step == 1 and start % PAGE_SIZE == 0 and stop % PAGE_SIZE == 0:
+                pages = self.pages[start // PAGE_SIZE:stop // PAGE_SIZE]
+                if len(pages) == len(self.pages):
+                    return self
+                if len(pages) > 1:
+                    return PageRun(pages)
+                return pages[0] if pages else b""
+        return bytes(self)[key]
+
+    def __repr__(self) -> str:
+        return f"<PageRun {len(self.pages)} pages>"
+
+
+#: What a read may return and a write accepts.
+Payload = Union[bytes, PageRun]
 
 
 class PageStore:
@@ -59,7 +109,15 @@ class PageStore:
         if offset < 0 or size < 0 or offset + size > self.length:
             raise ValueError(f"range [{offset}, {offset + size}) outside store of length {self.length}")
 
-    def read(self, offset: int, size: int) -> bytes:
+    def read(self, offset: int, size: int, as_run: bool = False) -> Payload:
+        """Read ``size`` bytes at ``offset``.
+
+        Always ``bytes`` unless ``as_run`` (the NIC's DMA path): then a
+        page-aligned range of two or more whole pages comes back as a
+        :class:`PageRun` of the page images themselves — no payload byte
+        is copied except for pages that are mutable right now, which are
+        snapshotted so the payload is fixed at gather time.
+        """
         self._check_range(offset, size)
         pages = self._pages
         index, within = divmod(offset, PAGE_SIZE)
@@ -72,13 +130,13 @@ class PageStore:
                 return page  # whole immutable page: zero-copy
             return bytes(page[within:within + size])
         if within == 0 and size % PAGE_SIZE == 0:
-            # Page-aligned whole-page gather (the bulk-transfer common
-            # case): one lookup per page, no slicing of immutable pages.
-            get = pages.get
-            return b"".join(
+            # Page-aligned whole pages (the bulk-transfer common case):
+            # one lookup per page, immutable pages taken by reference.
+            images = [
                 page if type(page) is bytes
                 else (_ZERO_PAGE if page is None else bytes(page))
-                for page in map(get, range(index, index + size // PAGE_SIZE)))
+                for page in map(pages.get, range(index, index + size // PAGE_SIZE))]
+            return PageRun(images) if as_run else b"".join(images)
         chunks = []
         while size > 0:
             take = PAGE_SIZE - within
@@ -96,28 +154,22 @@ class PageStore:
             within = 0
         return b"".join(chunks)
 
-    def write(self, offset: int, data: bytes) -> None:
+    def write(self, offset: int, data: Payload) -> None:
         size = len(data)
         self._check_range(offset, size)
         pages = self._pages
         dirty = self._dirty
         index, within = divmod(offset, PAGE_SIZE)
-        if within == 0 and size % PAGE_SIZE == 0 and type(data) is bytes:
-            # Page-aligned whole-page writes from an immutable source (the
-            # bulk-transfer common case): keep the slices themselves —
-            # slicing ``bytes`` yields immutable ``bytes``, so no second
-            # copy — and batch the dirty-set update.
-            if size == PAGE_SIZE:
-                pages[index] = data
-                dirty.add(index)
+        if type(data) is PageRun:
+            if within == 0:
+                # Aligned run: install the page images themselves.  They
+                # may now be shared with the store they were gathered
+                # from; both sides only ever mutate a copy (see _page).
+                span = range(index, index + len(data.pages))
+                pages.update(zip(span, data.pages))
+                dirty.update(span)
                 return
-            npages = size // PAGE_SIZE
-            pos = 0
-            for k in range(index, index + npages):
-                pages[k] = data[pos:pos + PAGE_SIZE]
-                pos += PAGE_SIZE
-            dirty.update(range(index, index + npages))
-            return
+            data = bytes(data)
         pos = 0
         while pos < size:
             take = PAGE_SIZE - within
@@ -132,14 +184,7 @@ class PageStore:
                 else:
                     pages[index] = bytes(data[pos:pos + PAGE_SIZE])
             else:
-                page = pages.get(index)
-                if page is None:
-                    page = bytearray(PAGE_SIZE)
-                    pages[index] = page
-                elif type(page) is bytes:
-                    page = bytearray(page)
-                    pages[index] = page
-                page[within:within + take] = data[pos:pos + take]
+                self._page(index)[within:within + take] = data[pos:pos + take]
             dirty.add(index)
             pos += take
             index += 1

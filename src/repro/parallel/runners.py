@@ -334,10 +334,18 @@ def scale_run(num_qps: int, msg_size: int = 65536, depth: int = 8,
     from repro.apps.perftest import PerftestEndpoint, connect_endpoints
     from repro.chaos.invariants import DEFAULT_REGISTRY, InvariantContext, run_digest
     from repro.chaos.torture import quiesce
+    from repro.config import default_config
     from repro.core import LiveMigration, MigrRdmaWorld
 
     wall_start = time.perf_counter()
-    tb = cluster.build(num_partners=1)
+    config = default_config()
+    # Partner pre-setup is serial firmware work, ~1.4 ms per QP (5.6 s at
+    # 4096 QPs): under the default 2 s deadline that migration rolls back
+    # with PresetupFailed.  A deadline only acts when it expires, so up to
+    # ~1300 QPs nothing changes.
+    config.migration.presetup_deadline_s = max(
+        config.migration.presetup_deadline_s, 1.5e-3 * num_qps)
+    tb = cluster.build(config=config, num_partners=1)
     world = MigrRdmaWorld(tb)
     kwargs = dict(world=world, mode=mode, msg_size=msg_size, depth=depth,
                   verify_content=mode in ("write", "send"))

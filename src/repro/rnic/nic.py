@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 from repro.config import Config, QPN_SPACE
 from repro.fabric.message import Message
 from repro.fabric.network import Node
-from repro.mem import AddressSpace
+from repro.mem import AddressSpace, Payload
 from repro.rnic.constants import (
     ACK_BYTES,
     ATOMIC_OPERAND_BYTES,
@@ -602,7 +602,7 @@ class RNIC:
                     span = tracer.begin_span(
                         tracer.lane(self.node.name, f"qp{qp.qpn:#x}"),
                         wr.opcode.name, {"bytes": wr.total_length})
-                if getattr(wr, "_pays_doorbell", True):
+                if wr._pays_doorbell:
                     yield self.sim.timeout(doorbell_s + per_wqe_s)
                 else:
                     yield self.sim.timeout(per_wqe_s)
@@ -641,11 +641,16 @@ class RNIC:
             return
         self._ack_progress(qp, ssn, WCStatus.SUCCESS)
 
-    def _gather(self, qp: QP, wr: SendWR) -> bytes:
-        """Read the WR's payload from local memory, enforcing lkeys.
+    def _gather(self, qp: QP, wr: SendWR) -> Payload:
+        """DMA the WR's payload out of local memory, enforcing lkeys.
 
-        Inline WRs carry their payload captured at post time — no lkey
-        check, and immune to the application reusing the buffer."""
+        The payload is fixed here: a single-SGE gather of whole pages is a
+        run of the page images themselves (no byte copied), anything else
+        is ``bytes``.  READ and ATOMIC requests carry no payload.  Inline
+        WRs carry theirs captured at post time — no lkey check, and immune
+        to the application reusing the buffer."""
+        if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
+            return b""
         if wr.inline_data is not None:
             return wr.inline_data
         chunks = []
@@ -656,8 +661,10 @@ class RNIC:
             if mr.pd.handle != qp.pd.handle:
                 raise AccessError("SGE MR belongs to a different PD")
             mr.check_local(sge.addr, sge.length, write=False)
-            chunks.append(mr.space.read(sge.addr, sge.length))
-        return b"".join(chunks)
+            chunks.append(mr.space.read(sge.addr, sge.length, as_run=True))
+        if len(chunks) == 1:
+            return chunks[0]
+        return b"".join(map(bytes, chunks))
 
     def _wire_size(self, payload_bytes: int) -> int:
         """Payload plus per-MTU header overhead."""
@@ -669,10 +676,8 @@ class RNIC:
         ssn = qp.next_ssn()
         try:
             if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
-                data = b""
                 self._gather_check_only(qp, wr)  # validate the landing buffer's lkey
-            else:
-                data = self._gather(qp, wr)
+            data = self._gather(qp, wr)
         except AccessError:
             self._complete_send(qp, wr, ssn, WCStatus.LOC_PROT_ERR, force=True)
             qp.force_error()
@@ -711,7 +716,7 @@ class RNIC:
         if qp.qp_type is QPType.UD:
             yield from self._transmit_ud(qp, wr, ssn, data)
         else:
-            yield from self._transmit_rc(qp, wr, ssn, data)
+            yield from self._transmit_rc(qp, wr, ssn, data, express=True)
 
     def _gather_check_only(self, qp: QP, wr: SendWR) -> None:
         for sge in wr.sges:
@@ -722,7 +727,7 @@ class RNIC:
                 raise AccessError("SGE MR belongs to a different PD")
             mr.check_local(sge.addr, sge.length, write=True)
 
-    def _transmit_ud(self, qp: QP, wr: SendWR, ssn: int, data: bytes):
+    def _transmit_ud(self, qp: QP, wr: SendWR, ssn: int, data: Payload):
         if not wr.opcode.is_two_sided:
             raise QPStateError("UD QPs only support SEND operations")
         if wr.remote_node is None or wr.remote_qpn is None:
@@ -742,19 +747,23 @@ class RNIC:
         yield self.sim.timeout(self.config.rnic.completion_delivery_s)
         self._ack_progress(qp, ssn, WCStatus.SUCCESS)
 
-    def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: bytes):
+    def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: Payload,
+                     express: bool):
+        """Put one RC request on the wire (first transmission and every
+        retransmission).  Only a first transmission may take the express
+        lane; a resend means the window is not clean."""
         payload = self._request_payload(qp, wr, ssn, data)
         size = self._wire_size(len(data)) if data else self._wire_size(wr.wire_payload_bytes)
         yield self.node.port.transmit(size)
         self.tx_bytes += size
         self.tx_msgs += 1
-        if wr.opcode is Opcode.RDMA_WRITE and \
+        if express and wr.opcode is Opcode.RDMA_WRITE and \
                 self._flow_express(qp, wr, ssn, data, size, payload):
             return
         self._send_raw(qp.remote_node, size, payload)
         self._arm_retransmit(qp, ssn)
 
-    def _flow_express(self, qp: QP, wr: SendWR, ssn: int, data: bytes,
+    def _flow_express(self, qp: QP, wr: SendWR, ssn: int, data: Payload,
                       size: int, payload: dict) -> bool:
         """Per-WR express-lane gate, checked at request wire-done.
 
@@ -825,7 +834,7 @@ class RNIC:
         self.flow_expressed += 1
         return True
 
-    def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: bytes) -> dict:
+    def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> dict:
         return {
             "kind": "req", "opcode": wr.opcode.value, "src_node": self.node.name,
             "src_qpn": qp.qpn, "dst_qpn": qp.remote_qpn, "ssn": ssn, "data": data,
@@ -877,18 +886,11 @@ class RNIC:
             if wr is None or qp.state is QPState.ERR:
                 return
             try:
-                data = b"" if (wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic) \
-                    else self._gather(qp, wr)
+                data = self._gather(qp, wr)  # re-gathered: memory may have moved on
             except AccessError:
                 self._fail_connection(qp, ssn, WCStatus.LOC_PROT_ERR)
                 return
-            payload = self._request_payload(qp, wr, ssn, data)
-            size = self._wire_size(len(data)) if data else self._wire_size(wr.wire_payload_bytes)
-            yield self.node.port.transmit(size)
-            self.tx_bytes += size
-            self.tx_msgs += 1
-            self._send_raw(qp.remote_node, size, payload)
-            self._arm_retransmit(qp, ssn)
+            yield from self._transmit_rc(qp, wr, ssn, data, express=False)
 
     def _fail_connection(self, qp: QP, ssn: int, status: WCStatus) -> None:
         wr = qp.sq_inflight.pop(ssn, None)
@@ -1143,13 +1145,13 @@ class RNIC:
         mr.space.write(payload["remote_addr"], data)
         return True
 
-    def _execute_read(self, qp: QP, payload: dict) -> Optional[bytes]:
+    def _execute_read(self, qp: QP, payload: dict) -> Optional[Payload]:
         length = payload["length"]
         try:
             mr = self._lookup_remote(payload["rkey"], payload["remote_addr"], length, "read")
         except AccessError:
             return None
-        return mr.space.read(payload["remote_addr"], length)
+        return mr.space.read(payload["remote_addr"], length, as_run=True)
 
     def _execute_atomic(self, qp: QP, payload: dict, opcode: Opcode) -> Optional[bytes]:
         addr = payload["remote_addr"]

@@ -44,6 +44,96 @@ def test_snapshot_install_roundtrip(ops):
     assert dst.read(0, STORE_LEN) == src.read(0, STORE_LEN)
 
 
+class FlatModel:
+    """What a PageStore must be indistinguishable from: one flat bytearray,
+    plus the page sets a write touches and dirties."""
+
+    def __init__(self):
+        self.flat = bytearray(STORE_LEN)
+        self.touched = set()
+        self.dirty = set()
+
+    def write(self, offset, data):
+        self.flat[offset:offset + len(data)] = data
+        if data:
+            pages = range(offset // PAGE_SIZE, (offset + len(data) - 1) // PAGE_SIZE + 1)
+            self.touched.update(pages)
+            self.dirty.update(pages)
+
+    def check(self, store):
+        assert store.read(0, STORE_LEN) == bytes(self.flat)
+        assert store.read(0, STORE_LEN, as_run=True) == bytes(self.flat)
+        assert store.touched_pages == len(self.touched)
+        assert store.dirty_pages == self.dirty
+
+
+#: offsets and sizes that are page-aligned about half of the time, so runs,
+#: single pages and byte payloads all cross between the two stores
+maybe_aligned = st.one_of(
+    st.integers(min_value=0, max_value=STORE_PAGES).map(lambda p: p * PAGE_SIZE),
+    st.integers(min_value=0, max_value=STORE_LEN),
+)
+sides = st.integers(min_value=0, max_value=1)
+exchange_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), sides,
+                  st.integers(min_value=0, max_value=STORE_LEN - 1),
+                  st.binary(min_size=1, max_size=512)),
+        st.tuples(st.just("dma"), sides, maybe_aligned, maybe_aligned, maybe_aligned),
+        st.tuples(st.just("collect"), sides),
+        st.tuples(st.just("clone"), sides),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=exchange_ops)
+def test_two_stores_exchanging_pages_match_flat_buffers(ops):
+    """Two stores trading ranges the way the NIC's DMA path does (gather a
+    payload from one, write it into the other — page runs by reference when
+    aligned), interleaved with partial writes to either side, each stay
+    indistinguishable from their own flat bytearray: copy-on-write holds,
+    the shared zero page is never mutated, and the touched/dirty
+    bookkeeping is what byte-copying writes would have produced."""
+    stores = [PageStore(STORE_LEN), PageStore(STORE_LEN)]
+    models = [FlatModel(), FlatModel()]
+    for op, side, *args in ops:
+        if op == "write":
+            offset, data = args
+            data = data[: STORE_LEN - offset]
+            stores[side].write(offset, data)
+            models[side].write(offset, data)
+        elif op == "dma":
+            src_off, dst_off, size = args
+            size = min(size, STORE_LEN - src_off, STORE_LEN - dst_off)
+            payload = stores[side].read(src_off, size, as_run=True)
+            assert payload == bytes(models[side].flat[src_off:src_off + size])
+            stores[1 - side].write(dst_off, payload)
+            models[1 - side].write(dst_off, bytes(payload))
+        elif op == "collect":
+            assert stores[side].collect_dirty() == models[side].dirty
+            models[side].dirty = set()
+        else:  # the clone carries on; the original must not see its writes
+            original, stores[side] = stores[side], stores[side].clone()
+            stores[side].write(1, b"clone only")
+            models[side].check(original)
+            models[side].write(1, b"clone only")
+        for store, model in zip(stores, models):
+            model.check(store)
+    assert PageStore(PAGE_SIZE).read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+    for store, model in zip(stores, models):
+        # the pre-copy hand-off: dirty page images rebuild the same bytes
+        images = store.snapshot_pages(store.collect_dirty())
+        assert images == {i: bytes(model.flat[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
+                          for i in model.dirty}
+        restored = PageStore(STORE_LEN)
+        restored.install_pages(images)
+        assert restored.dirty_pages == set()
+        for i in model.dirty:
+            assert restored.read(i * PAGE_SIZE, PAGE_SIZE) == images[i]
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=write_ops, moves=st.integers(min_value=1, max_value=4))
 def test_mremap_preserves_contents(ops, moves):

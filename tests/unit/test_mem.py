@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PAGE_SIZE
-from repro.mem import AddressSpace, MemoryError_, PageStore, align_down, align_up
+from repro.mem import AddressSpace, MemoryError_, PageRun, PageStore, align_down, align_up
 
 
 class TestAlignment:
@@ -91,6 +91,98 @@ class TestPageStore:
         assert copy.read(0, 4) == b"copy"
 
 
+class TestPageRun:
+    """A run answers every question the payload path asks exactly as the
+    ``bytes`` it stands for would."""
+
+    PAGES = [bytes([i]) * PAGE_SIZE for i in range(1, 5)]
+    FLAT = b"".join(PAGES)
+
+    def test_len_bool_bytes_eq(self):
+        run = PageRun(list(self.PAGES))
+        assert len(run) == len(self.FLAT)
+        assert run
+        assert bytes(run) == self.FLAT
+        assert run == self.FLAT and self.FLAT == run
+        assert run == bytearray(self.FLAT)
+        assert run == PageRun(list(self.PAGES))
+        assert run != self.FLAT[:-1] and run != self.FLAT[:-1] + b"x"
+        assert run != PageRun(self.PAGES[:3])
+
+    @pytest.mark.parametrize("start", [None, 0, PAGE_SIZE, 2 * PAGE_SIZE, 4 * PAGE_SIZE,
+                                       9 * PAGE_SIZE, -PAGE_SIZE, 5, PAGE_SIZE + 1])
+    @pytest.mark.parametrize("stop", [None, 0, PAGE_SIZE, 3 * PAGE_SIZE, 4 * PAGE_SIZE,
+                                      9 * PAGE_SIZE, -PAGE_SIZE, 7, 2 * PAGE_SIZE - 1])
+    def test_slices_match_bytes(self, start, stop):
+        run = PageRun(list(self.PAGES))
+        piece = run[start:stop]
+        assert piece == self.FLAT[start:stop]
+        assert len(piece) == len(self.FLAT[start:stop])
+        assert bool(piece) == bool(self.FLAT[start:stop])
+
+    def test_page_aligned_slices_copy_nothing(self):
+        run = PageRun(list(self.PAGES))
+        assert run[:] is run
+        assert run[:4 * PAGE_SIZE] is run
+        assert run[PAGE_SIZE:2 * PAGE_SIZE] is self.PAGES[1]
+        tail = run[2 * PAGE_SIZE:]
+        assert type(tail) is PageRun
+        assert tail.pages[0] is self.PAGES[2] and tail.pages[1] is self.PAGES[3]
+        assert run[4 * PAGE_SIZE:] == b""
+        assert type(run[1:PAGE_SIZE]) is bytes  # any other slice materialises
+        assert run[::2] == self.FLAT[::2] and run[5] == self.FLAT[5]
+
+    def test_store_gathers_runs_only_when_asked(self):
+        store = PageStore(4 * PAGE_SIZE)
+        store.write(0, self.FLAT[:2 * PAGE_SIZE])
+        store.write(PAGE_SIZE + 1, b"now mutable")
+        assert type(store.read(0, 4 * PAGE_SIZE)) is bytes
+        assert type(store.read(0, PAGE_SIZE, as_run=True)) is bytes
+        assert type(store.read(1, 2 * PAGE_SIZE, as_run=True)) is bytes
+        run = store.read(0, 4 * PAGE_SIZE, as_run=True)
+        assert type(run) is PageRun
+        assert run == store.read(0, 4 * PAGE_SIZE)
+        assert run.pages[0] is store.read(0, PAGE_SIZE)  # the stored image itself
+        assert all(type(page) is bytes for page in run.pages)
+        assert run.pages[2] is run.pages[3]  # the shared zero page
+        # Snapshot semantics: later writes do not reach the run.
+        before = bytes(run)
+        store.write(PAGE_SIZE + 1, b"changed again")
+        store.write(0, b"x")
+        assert bytes(run) == before
+
+    def test_aligned_run_write_shares_pages_copy_on_write(self):
+        src = PageStore(4 * PAGE_SIZE)
+        src.write(0, self.FLAT)
+        src.collect_dirty()
+        dst = PageStore(8 * PAGE_SIZE)
+        dst.write(2 * PAGE_SIZE, src.read(0, 4 * PAGE_SIZE, as_run=True))
+        assert dst.dirty_pages == {2, 3, 4, 5} and dst.touched_pages == 4
+        assert src.dirty_pages == set()
+        assert dst.read(2 * PAGE_SIZE, 4 * PAGE_SIZE) == self.FLAT
+        dst.write(2 * PAGE_SIZE + 3, b"dst only")
+        src.write(PAGE_SIZE + 3, b"src only")
+        assert src.read(0, PAGE_SIZE) == self.PAGES[0]
+        assert dst.read(3 * PAGE_SIZE, PAGE_SIZE) == self.PAGES[1]
+        assert src.read(PAGE_SIZE + 3, 8) == b"src only"
+        assert dst.read(2 * PAGE_SIZE + 3, 8) == b"dst only"
+
+    def test_unaligned_run_write_materialises(self):
+        dst = PageStore(8 * PAGE_SIZE)
+        dst.write(100, PageRun(list(self.PAGES)))
+        assert dst.read(100, 4 * PAGE_SIZE) == self.FLAT
+        assert dst.read(0, 100) == bytes(100)
+        assert dst.dirty_pages == {0, 1, 2, 3, 4}
+
+    def test_zero_page_is_never_mutated(self):
+        a, b = PageStore(2 * PAGE_SIZE), PageStore(2 * PAGE_SIZE)
+        b.write(0, a.read(0, 2 * PAGE_SIZE, as_run=True))  # two zero pages
+        b.write(5, b"scribble")
+        assert a.read(0, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+        assert b.read(PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert PageStore(PAGE_SIZE).read(0, 16) == bytes(16)
+
+
 class TestAddressSpace:
     def test_mmap_without_address_picks_free_slot(self):
         space = AddressSpace("p1")
@@ -139,6 +231,33 @@ class TestAddressSpace:
         data = b"z" * 256
         space.write(0x3000_0000 + PAGE_SIZE - 128, data)
         assert space.read(0x3000_0000 + PAGE_SIZE - 128, 256) == data
+
+    def test_write_into_hole_raises_before_mutating(self):
+        space = AddressSpace("p1")
+        vma = space.mmap(PAGE_SIZE, addr=0x3000_0000)
+        space.write(0x3000_0000, b"before")
+        vma.store.collect_dirty()
+        with pytest.raises(MemoryError_, match="write fault at 0x30001000"):
+            space.write(0x3000_0000 + PAGE_SIZE - 128, b"z" * 256)
+        assert space.read(0x3000_0000, PAGE_SIZE) == b"before" + bytes(PAGE_SIZE - 6)
+        assert vma.store.dirty_pages == set()
+
+    def test_run_spanning_adjacent_vmas_stays_by_reference(self):
+        src = AddressSpace("src")
+        src.mmap(4 * PAGE_SIZE, addr=0x1000_0000)
+        pages = [bytes([i]) * PAGE_SIZE for i in range(1, 5)]
+        src.write(0x1000_0000, b"".join(pages))
+        run = src.read(0x1000_0000, 4 * PAGE_SIZE, as_run=True)
+        assert type(run) is PageRun
+        assert type(src.read(0x1000_0000, 4 * PAGE_SIZE)) is bytes
+        dst = AddressSpace("dst")
+        first = dst.mmap(PAGE_SIZE, addr=0x3000_0000)
+        second = dst.mmap(4 * PAGE_SIZE, addr=0x3000_0000 + PAGE_SIZE)
+        dst.write(0x3000_0000, run)
+        assert dst.read(0x3000_0000, 4 * PAGE_SIZE) == b"".join(pages)
+        assert first.store.dirty_pages == {0} and second.store.dirty_pages == {0, 1, 2}
+        # a read spanning VMAs is materialised even for the DMA path
+        assert type(dst.read(0x3000_0000, 4 * PAGE_SIZE, as_run=True)) is bytes
 
     def test_munmap_removes(self):
         space = AddressSpace("p1")

@@ -1,8 +1,11 @@
 """Unit tests for the RNIC data plane: SEND/RECV, WRITE, READ, ATOMIC,
 errors, ordering, reliability."""
 
+import random
+
 import pytest
 
+from repro.config import Config
 from repro.rnic import AccessFlags, Opcode, QPState, QPType, RecvWR, SendWR, WCStatus
 from repro.rnic.errors import QPStateError, ResourceError
 from repro.verbs.api import make_sge
@@ -439,3 +442,146 @@ class TestBatchedPosting:
         wcs = tb.run(driver())
         assert [wc.wr_id for wc in wcs] == list(range(depth))
         assert all(wc.status is WCStatus.SUCCESS for wc in wcs)
+
+
+BUF = 32 * 4096
+
+#: (name, local (offset, length) SGEs, remote offset) — local is the
+#: requester's buffer, remote the responder's.
+PAYLOAD_SHAPES = [
+    ("aligned-multi-page", [(0, 4 * 4096)], 8 * 4096),
+    ("single-page", [(4096, 4096)], 3 * 4096),
+    ("unaligned", [(100, 10000)], 4096 + 7),
+    ("aligned-local-unaligned-remote", [(0, 2 * 4096)], 300),
+    ("multi-sge", [(0, 2 * 4096), (4 * 4096, 4096), (24 * 4096 + 5, 700)], 2 * 4096),
+]
+
+
+def _fill(space, addr):
+    """Every kind of page: immutable (whole-page write), mutable (then
+    partially overwritten) and never written (pages 3 and 20..31)."""
+    rng = random.Random(addr)
+    for page in range(20):
+        if page != 3:
+            space.write(addr + page * 4096, rng.randbytes(4096))
+    space.write(addr + 4096 + 17, b"partial write makes page 1 mutable")
+    space.write(addr + 2 * 4096 - 3, b"straddle")
+    return space.read(addr, BUF)
+
+
+def _scatter(model, sges, data):
+    for offset, length in sges:
+        chunk, data = data[:length], data[length:]
+        model[offset:offset + len(chunk)] = chunk
+
+
+@pytest.mark.parametrize("express", [True, False], ids=["express-lane", "packet-path"])
+@pytest.mark.parametrize("shape", PAYLOAD_SHAPES, ids=[s[0] for s in PAYLOAD_SHAPES])
+class TestPayloadShapes:
+    """Whatever shape the payload has — a page run taken by reference or
+    joined bytes — the far buffer ends up byte-identical to a flat copy."""
+
+    @pytest.fixture
+    def world(self, express):
+        tb, a, b = build_pair(config=Config(flow_aggregation=express), buf_len=BUF)
+        src = _fill(a.process.space, a.buf_addr)
+        dst = bytearray(_fill(b.process.space, b.buf_addr))
+        return tb, a, b, src, dst
+
+    def _check(self, a, b, src, dst):
+        assert a.process.space.read(a.buf_addr, BUF) == src
+        assert b.process.space.read(b.buf_addr, BUF) == bytes(dst)
+
+    def test_write(self, world, shape, express):
+        tb, a, b, src, dst = world
+        _, sges, remote = shape
+        data = b"".join(src[o:o + n] for o, n in sges)
+        wr = SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE,
+                    sges=[make_sge(a.mr, o, n) for o, n in sges],
+                    remote_addr=b.mr.addr + remote, rkey=b.mr.rkey)
+        send_wcs, _ = run_op(tb, a, b, wr)
+        assert send_wcs[0].status is WCStatus.SUCCESS
+        assert send_wcs[0].byte_len == len(data)
+        assert a.server.rnic.flow_expressed == int(express)
+        dst[remote:remote + len(data)] = data
+        self._check(a, b, src, dst)
+
+    def test_write_with_imm(self, world, shape):
+        tb, a, b, src, dst = world
+        _, sges, remote = shape
+        data = b"".join(src[o:o + n] for o, n in sges)
+        wr = SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE_WITH_IMM,
+                    sges=[make_sge(a.mr, o, n) for o, n in sges],
+                    remote_addr=b.mr.addr + remote, rkey=b.mr.rkey, imm_data=9)
+        _, recv_wcs = run_op(tb, a, b, wr, RecvWR(wr_id=2, sges=[]), expect_recv=1)
+        assert recv_wcs[0].imm_data == 9
+        assert recv_wcs[0].byte_len == len(data)
+        dst[remote:remote + len(data)] = data
+        self._check(a, b, src, dst)
+
+    def test_send_into_multi_sge_recv(self, world, shape):
+        tb, a, b, src, dst = world
+        _, sges, _remote = shape
+        data = b"".join(src[o:o + n] for o, n in sges)
+        # page-aligned, sub-page and unaligned landing buffers
+        landing = [(8 * 4096, 4096), (12 * 4096, 2 * 4096), (16 * 4096 + 9, 1000),
+                   (20 * 4096, 8 * 4096)]
+        wr = SendWR(wr_id=1, opcode=Opcode.SEND,
+                    sges=[make_sge(a.mr, o, n) for o, n in sges])
+        recv = RecvWR(wr_id=2, sges=[make_sge(b.mr, o, n) for o, n in landing])
+        _, recv_wcs = run_op(tb, a, b, wr, recv, expect_recv=1)
+        assert recv_wcs[0].status is WCStatus.SUCCESS
+        assert recv_wcs[0].byte_len == len(data)
+        _scatter(dst, landing, data)
+        self._check(a, b, src, dst)
+
+    def test_read(self, world, shape):
+        tb, a, b, src, dst = world
+        _, sges, remote = shape
+        length = sum(n for _o, n in sges)
+        wr = SendWR(wr_id=1, opcode=Opcode.RDMA_READ,
+                    sges=[make_sge(a.mr, o, n) for o, n in sges],
+                    remote_addr=b.mr.addr + remote, rkey=b.mr.rkey)
+        send_wcs, _ = run_op(tb, a, b, wr)
+        assert send_wcs[0].status is WCStatus.SUCCESS
+        assert send_wcs[0].byte_len == length
+        landed = bytearray(src)
+        _scatter(landed, sges, bytes(dst[remote:remote + length]))
+        self._check(a, b, bytes(landed), dst)
+
+
+class _DropFirstRequest:
+    """Minimal ``Network.fault_injector``: lose the first RDMA request."""
+
+    def __init__(self):
+        self.dropped = 0
+
+    def intercept(self, message, now):
+        if message.protocol == "rdma" and message.payload["kind"] == "req" \
+                and not self.dropped:
+            self.dropped += 1
+            return []
+        return None
+
+
+def test_dropped_request_is_regathered_on_retransmit():
+    """The payload is fixed at gather time, and a retransmission gathers
+    again: it carries what the buffer holds *then* (go-back-N as today)."""
+    tb, a, b = build_pair(buf_len=BUF)
+    first = _fill(a.process.space, a.buf_addr)[:4 * 4096]
+    second = bytes(reversed(first))
+    injector = tb.network.fault_injector = _DropFirstRequest()
+
+    def driver():
+        a.lib.post_send(a.qp, SendWR(
+            wr_id=1, opcode=Opcode.RDMA_WRITE, sges=[make_sge(a.mr, 0, 4 * 4096)],
+            remote_addr=b.mr.addr, rkey=b.mr.rkey))
+        yield tb.sim.timeout(100e-6)  # lost on the wire; RTO still pending
+        assert b.process.space.read(b.buf_addr, 4 * 4096) == bytes(4 * 4096)
+        a.process.space.write(a.buf_addr, second)
+        return (yield from poll_until(tb, a.lib, a.cq, 1))
+
+    wcs = tb.run(driver())
+    assert injector.dropped == 1
+    assert wcs[0].status is WCStatus.SUCCESS
+    assert b.process.space.read(b.buf_addr, 4 * 4096) == second
