@@ -75,7 +75,6 @@ def test_scale_invariants_and_events_per_sec():
                 "blackout_ms": round(point["blackout_ms"], 3),
                 "wbs_elapsed_us": round(point["wbs_elapsed_us"], 2),
                 "invariants_ok": point["invariants_ok"],
-                "scheduler": point["scheduler"],
                 "events_credited": point["events_credited"],
                 "flow_expressed": point["flow_expressed"],
                 "flow_fallbacks": point["flow_fallbacks"],

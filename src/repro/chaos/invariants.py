@@ -24,7 +24,7 @@ adversity, and yields human-readable violation strings (nothing = pass):
   commit), with no process left frozen (§4's all-or-nothing contract),
 - ``sim-health`` — no simulator process died with an exception,
 - ``fabric-accounting`` — every dropped message is accounted to exactly
-  one cause (legacy loss or the fault plan),
+  one cause in the fault plan (a drop rule or a partition),
 - ``fleet-placement`` — after a fleet drain every container has exactly
   one live placement, agreeing with the state store: nothing lost,
   nothing split-brained, nothing left frozen (skipped outside fleet
@@ -303,7 +303,7 @@ def _check_sim_health(ctx):
 @DEFAULT_REGISTRY.register("fabric-accounting")
 def _check_fabric_accounting(ctx):
     network = ctx.tb.network
-    if ctx.plan is None or network.loss_rate:
+    if ctx.plan is None:
         return
     accounted = (ctx.plan.stats.fabric_dropped
                  + ctx.plan.stats.partition_dropped)

@@ -7,8 +7,7 @@ Installing it on a testbed attaches thin hook objects at three layers:
   consulted for every in-flight message and may drop, duplicate, reorder
   (deliver with extra jitter) or delay it, scoped per link
   (``src``/``dst``), per protocol (``"rdma"``, ``"tcp"`` prefix, ...) and
-  per simulated-time window — the scoped, resettable replacement for the
-  deprecated global ``Network.set_loss_rate``,
+  per simulated-time window, and uninstalled by ``Network.reset_faults``,
 - **RNIC** — ``RNIC.chaos`` can suppress RECV consumption during a window
   (an RNR NAK storm: every arriving SEND is NAKed and backed off), stretch
   CQE delivery (CQ pressure, with a monotonic clamp so stretched batches
@@ -23,7 +22,7 @@ Installing it on a testbed attaches thin hook objects at three layers:
   (requires a :class:`~repro.fabric.FatTreeTopology` on the network).
 
 Determinism contract: all randomness comes from the plan's own
-``random.Random(seed)`` — the network's and CPU ledgers' RNG streams are
+``random.Random(seed)`` — the CPU ledgers' RNG streams are
 never touched — and a plan with no faults draws nothing and schedules
 nothing, so installing it leaves every simulated timestamp bit-identical
 to an uninstrumented run (pinned by

@@ -209,7 +209,7 @@ class ClusterBed:
         from repro.rnic.nic import reset_qpn_bases
         reset_qpn_bases()
         self.config = config or default_config()
-        self.sim = Simulator(scheduler=getattr(self.config, "scheduler", "wheel"))
+        self.sim = Simulator()
         self.network = Network(self.sim, self.config)
         self._server_list: List[Server] = []
         self._servers_by_name: Dict[str, Server] = {}

@@ -232,10 +232,6 @@ class Config:
     #: and digests are bit-identical either way; ``False`` forces the
     #: packet-level path everywhere (the equivalence tests' reference).
     flow_aggregation: bool = True
-    #: Event-kernel backing: ``"wheel"`` (hierarchical timer wheel, the
-    #: default) or ``"heap"`` (the legacy binary heap, kept as the
-    #: equivalence reference).  Same bit-identical guarantee as above.
-    scheduler: str = "wheel"
 
     def replace(self, **kwargs) -> "Config":
         return replace(self, **kwargs)

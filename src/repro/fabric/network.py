@@ -1,17 +1,16 @@
-"""The fabric: nodes, a one-hop switch, and loss injection.
+"""The fabric: nodes, a one-hop switch, and the fault-injection hook.
 
 Topology matches the paper's testbed — six servers behind one Arista
 switch — generalised to any number of nodes.  Delivery = egress
 serialization (the sender's :class:`~repro.fabric.port.Port`) + a fixed
-propagation/switching delay.  An optional Bernoulli loss model drops
-messages in flight; reliability is the job of the protocol layers (the RC
-engine retransmits, the TCP channel retransmits).
+propagation/switching delay.  An installed fault injector
+(:mod:`repro.chaos.plan`) may drop, duplicate or delay messages in flight;
+reliability is the job of the protocol layers (the RC engine retransmits,
+the TCP channel retransmits).
 """
 
 from __future__ import annotations
 
-import random
-import warnings
 from typing import Callable, Dict, Optional
 
 from repro.config import Config, default_config
@@ -71,14 +70,12 @@ class Node:
 
 
 class Network:
-    """All nodes plus the switch's propagation and loss behaviour."""
+    """All nodes plus the switch's propagation and fault-injection hook."""
 
     def __init__(self, sim: Simulator, config: Optional[Config] = None):
         self.sim = sim
         self.config = config or default_config()
         self.nodes: Dict[str, Node] = {}
-        self.loss_rate = 0.0
-        self._rng = random.Random(self.config.seed ^ 0x5EED)
         self.messages_sent = 0
         self.messages_dropped = 0
         #: scoped fault hook (see :mod:`repro.chaos.plan`): consulted per
@@ -106,22 +103,6 @@ class Network:
         except KeyError:
             raise LookupError(f"unknown node {name!r}") from None
 
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Deprecated: global Bernoulli loss with no scope and no owner —
-        state set here silently leaks into every later scenario sharing the
-        network.  Use a :class:`repro.chaos.FaultPlan` (``drop()`` rules are
-        scoped per link/protocol/window and uninstallable) and
-        :meth:`reset_faults` instead.
-        """
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss rate must be in [0, 1), got {loss_rate}")
-        warnings.warn(
-            "Network.set_loss_rate is deprecated; use repro.chaos.FaultPlan"
-            ".drop(...).install(...) for scoped, resettable loss",
-            DeprecationWarning, stacklevel=2)
-        self.flow_invalidate_all()
-        self.loss_rate = loss_rate
-
     def flow_invalidate_all(self) -> None:
         """De-aggregation hook: turn every pending express-lane reservation
         back into packet-level events.  Called whenever a fault source is
@@ -133,10 +114,8 @@ class Network:
                 lane.materialize("fault-window")
 
     def reset_faults(self) -> None:
-        """Clear every fault source: legacy global loss and any installed
-        fault injector.  Scenario teardown calls this so chaos state cannot
-        leak between tests."""
-        self.loss_rate = 0.0
+        """Uninstall the fault injector.  Scenario teardown calls this so
+        chaos state cannot leak between tests."""
         self.fault_injector = None
 
     def transmit(self, message: Message) -> None:
@@ -178,9 +157,6 @@ class Network:
                 for extra in verdict:
                     self.sim.schedule(base + extra, dst.deliver, message)
                 return
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.messages_dropped += 1
-            return
         if self.topology is not None:
             self.topology.route(message)
             return

@@ -228,10 +228,10 @@ class MetricsRegistry:
     def scrape_fleet(self, fleet) -> None:
         """Fleet state store + fat-tree trunk accounting.
 
-        Part of the digested surface (unlike :meth:`scrape_perf`): where
-        containers ended up and how many bytes crossed each trunk are
-        *results* of a fleet run, so same-seed runs must agree on them
-        bit-for-bit across ``--jobs`` settings.
+        Part of the digested surface: where containers ended up and how
+        many bytes crossed each trunk are *results* of a fleet run, so
+        same-seed runs must agree on them bit-for-bit across ``--jobs``
+        settings.
         """
         state = fleet.state
         self.gauge("fleet.hosts").set(len(state.hosts))
@@ -251,30 +251,6 @@ class MetricsRegistry:
             self.gauge(f"chaos.{name}").set(value)
         self.gauge("chaos.rules").set(len(plan.rules))
         self.gauge("chaos.boundaries_seen").set(len(plan.boundaries_seen))
-
-    def scrape_perf(self, tb) -> None:
-        """Opt-in speed-path counters: scheduler occupancy/routing and
-        express-lane (flow aggregation) activity.
-
-        Deliberately **not** part of :meth:`scrape_testbed`: the chaos run
-        digest hashes the default snapshot, and these counters describe how
-        fast a run went, not what it computed — they differ between the
-        wheel and heap schedulers (and between flow aggregation on/off)
-        while every digested metric stays bit-identical.  Keeping them in a
-        separate scrape preserves those cross-mode digest pins.
-        """
-        sim = tb.sim
-        for name, value in sim.scheduler_stats().items():
-            if name == "scheduler":
-                continue
-            self.gauge(f"sched.{name}").set(value)
-        self.gauge("sched.events_credited").set(sim.events_credited)
-        for server in tb.servers:
-            nic = server.rnic
-            prefix = f"flow.{nic.node.name}"
-            self.gauge(f"{prefix}.expressed").set(nic.flow_expressed)
-            self.gauge(f"{prefix}.fallbacks").set(nic.flow_fallbacks)
-            self.gauge(f"{prefix}.materialized").set(nic.flow_materialized)
 
     # -- output ----------------------------------------------------------
 

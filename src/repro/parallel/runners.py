@@ -392,9 +392,8 @@ def scale_run(num_qps: int, msg_size: int = 65536, depth: int = 8,
         "invariants_ok": inv.ok,
         "violations": [f"{name}: {message}" for name, message in inv.violations],
         "digest": run_digest(ctx, inv),
-        # Speed-path accounting (never digested; see Metrics.scrape_perf):
-        # which scheduler ran, how many events the express lane absorbed.
-        "scheduler": tb.sim.scheduler_stats()["scheduler"],
+        # Speed-path accounting (never digested): how many events the
+        # express lane absorbed.
         "events_credited": tb.sim.events_credited,
         "flow_expressed": sum(s.rnic.flow_expressed for s in tb.servers),
         "flow_fallbacks": sum(s.rnic.flow_fallbacks for s in tb.servers),
@@ -731,7 +730,6 @@ def simperf_round(num_qps: int, msg_size: int = 65536,
         "wall_s": wall_s,
         "events_per_sec": tb.sim.events_processed / wall_s if wall_s else 0.0,
         "blackout_ms": report.blackout_s * 1e3,
-        "scheduler": tb.sim.scheduler_stats()["scheduler"],
         "events_credited": tb.sim.events_credited,
         "flow_expressed": sum(s.rnic.flow_expressed for s in tb.servers),
     }

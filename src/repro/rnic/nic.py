@@ -768,14 +768,14 @@ class RNIC:
         """Per-WR express-lane gate, checked at request wire-done.
 
         True only when every timestamp the packet path would produce from
-        here is precomputable: clean fabric (no injector, no loss), no
+        here is precomputable: clean fabric (no injector), no
         chaos scope or control-path activity on either NIC, an idle
         uncontended responder, matching connection epoch, and a responder
         port free for the ack slot.  Anything else → packet path.
         """
         net = self.node.network
         if (not net.flow_aggregation or net.fault_injector is not None
-                or net.loss_rate or self.chaos is not None):
+                or self.chaos is not None):
             return False
         if self.qos is not None and self.qos.is_shaped(qp.tenant):
             return False  # shaped tenants stay on the per-packet path

@@ -8,45 +8,23 @@ event's value (or the event's exception, raised inside the generator).
 
 Scheduler
 ---------
-The default scheduler is a hierarchical timer-wheel / calendar-queue
-hybrid (see DESIGN.md §12).  Entries are routed by target time into one
-of four structures, all dispatching in exact ``(time, seq)`` order:
-
-- a **now-deque** for entries scheduled at exactly the current time
-  (``Event.succeed``/``fail``, zero-delay schedules, process starts).
-  Such entries always carry the globally largest sequence numbers, so
-  FIFO order *is* ``(time, seq)`` order and both schedule and dispatch
-  are O(1) with no comparisons;
-- the **current bucket**: a sorted run of entries being drained in
-  order.  Same-tick inserts go in with ``bisect.insort`` past the drain
-  pointer;
-- the **wheel**: ``_WHEEL_SLOTS`` fixed-width buckets covering the short
-  horizon past the current bucket.  Schedule is an O(1) append; cancel
-  is a true O(1) swap-remove (no tombstone is left behind); a bucket is
-  sorted once when its tick becomes current.  A bitmask of occupied
-  slots makes finding the next non-empty bucket O(1) big-int ops;
-- a small **overflow heap** for far-future or irregular events
-  (heartbeat ticks, watchdogs).  Entries migrate into the wheel as the
-  horizon advances; cancellation there is lazy but rare.
-
-``Simulator(scheduler="heap")`` selects the original single binary heap
-(lazy cancellation and all) — kept as the reference implementation the
-equivalence suite in ``tests/unit/test_sched_equivalence.py`` drives
-against the wheel, and as a fallback.
+The pending-event schedule is one binary heap (``heapq``) of mutable
+``[time, seq, callback, args]`` entries, dispatched in exact
+``(time, seq)`` order.  ``seq`` is a per-simulator counter, so entries
+scheduled for the same instant fire in schedule order.  Cancellation is
+lazy: :meth:`Simulator.cancel` nulls the callback slot and the dispatch
+loops drop the tombstone when it reaches the head (DESIGN.md §12.1).
 
 Fast paths
 ----------
 The kernel is the hot loop of every experiment, so it carries a few
 wall-clock optimisations that do not change simulated-time semantics:
 
-- Entries are mutable ``[time, sequence, callback, args, where, index]``
-  records so a scheduled callback can be *cancelled in place*:
-  :meth:`Simulator.cancel` nulls the callback slot and (for wheel
-  buckets) physically removes the entry.  ``schedule`` returns the entry
-  as the cancel handle; :meth:`Timeout.cancel` deschedules a pending
-  timeout the same way.  This is what lets the RNIC retire
-  retransmission timers on ACK instead of letting a stale timer fire per
-  transmitted WR.
+- Entries are mutable records so a scheduled callback can be *cancelled
+  in place*.  ``schedule`` returns the entry as the cancel handle;
+  :meth:`Timeout.cancel` deschedules a pending timeout the same way.
+  This is what lets the RNIC retire retransmission timers on ACK instead
+  of letting a stale timer fire per transmitted WR.
 - ``Timeout`` objects are pooled on a per-simulator free list.  A timeout
   whose only consumer was a process ``yield`` (the overwhelmingly common
   case) is recycled as soon as its callback has run; timeouts that are
@@ -72,8 +50,6 @@ wall-clock optimisations that do not change simulated-time semantics:
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
 from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -81,20 +57,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 #: Upper bound on the per-simulator Timeout free list (plenty for the
 #: steady-state working set; prevents pathological growth after bursts).
 _TIMEOUT_POOL_MAX = 4096
-
-#: Wheel bucket width in simulated seconds.  Sized so the dense timer
-#: population (wire serialisation, propagation, doorbells, poll sleeps,
-#: RTO ≈ 504 µs, RNR = 100 µs) lands in the wheel: 0.5 µs buckets over
-#: 2048 slots give a ~1.02 ms horizon covering every periodic timer up
-#: to and including 1 ms heartbeat ticks.
-_WHEEL_TICK_S = 0.5e-6
-_WHEEL_SLOTS = 2048
-
-#: ``where`` tags for entry[4]: which structure holds the entry.  Wheel
-#: bucket entries store the bucket list object itself instead.
-_IN_READY = 0
-_IN_CURRENT = 1
-_IN_OVERFLOW = 2
 
 
 class SimulationError(RuntimeError):
@@ -165,14 +127,7 @@ class Event:
         self._value = value
         sim = self.sim
         sim._sequence = seq = sim._sequence + 1
-        if sim._heap is None:
-            # Triggered at the current instant: the entry carries the
-            # largest sequence seen so far, so the now-deque's FIFO order
-            # is exactly (time, seq) order.
-            sim._ready.append([sim.now, seq, self._process_callbacks, (), _IN_READY, 0])
-            sim._rlive += 1
-        else:
-            heappush(sim._heap, [sim.now, seq, self._process_callbacks, ()])
+        heappush(sim._heap, [sim.now, seq, self._process_callbacks, ()])
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -184,11 +139,7 @@ class Event:
         self._exception = exception
         sim = self.sim
         sim._sequence = seq = sim._sequence + 1
-        if sim._heap is None:
-            sim._ready.append([sim.now, seq, self._process_callbacks, (), _IN_READY, 0])
-            sim._rlive += 1
-        else:
-            heappush(sim._heap, [sim.now, seq, self._process_callbacks, ()])
+        heappush(sim._heap, [sim.now, seq, self._process_callbacks, ()])
         return self
 
     def _process_callbacks(self) -> None:
@@ -232,25 +183,14 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         sim._sequence = seq = sim._sequence + 1
-        if sim._heap is None:
-            now = sim.now
-            time = now + delay
-            self._entry = entry = [time, seq, self._process_callbacks, (), _IN_READY, 0]
-            if time == now:
-                sim._ready.append(entry)
-                sim._rlive += 1
-            else:
-                sim._route(entry)
-        else:
-            self._entry = [sim.now + delay, seq, self._process_callbacks, ()]
-            heappush(sim._heap, self._entry)
+        self._entry = [sim.now + delay, seq, self._process_callbacks, ()]
+        heappush(sim._heap, self._entry)
 
     def cancel(self) -> bool:
         """Deschedule a pending timeout.
 
         Returns ``True`` if the timeout was still scheduled; its callbacks
-        will never run and the entry is freed (eagerly for wheel buckets,
-        lazily elsewhere).  Only legal for timers nobody is waiting on (a
+        will never run.  Only legal for timers nobody is waiting on (a
         process blocked on a cancelled timeout would never resume); the
         typical caller is a retransmission/watchdog timer retired early
         because the condition it guarded already resolved.
@@ -428,14 +368,9 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop: owns simulated time and the pending-event schedule.
+    """The event loop: owns simulated time and the pending-event schedule."""
 
-    ``scheduler`` selects the pending-event structure: ``"wheel"`` (the
-    default timer-wheel/calendar-queue hybrid) or ``"heap"`` (the original
-    single binary heap, kept as the equivalence-test reference).
-    """
-
-    def __init__(self, scheduler: str = "wheel"):
+    def __init__(self):
         self.now: float = 0.0
         self._sequence = 0
         self._timeout_pool: List[Timeout] = []
@@ -456,38 +391,12 @@ class Simulator:
         #: tracer samples wall-clock dispatch batches.  Purely observational:
         #: it never changes event order, timestamps, or the RNG stream.
         self.tracer = None
+        #: the pending-event schedule: a heapq of
+        #: ``[time, seq, callback, args]`` entries (callback ``None`` once
+        #: cancelled or dispatched).
+        self._heap: List[list] = []
 
-        if scheduler == "wheel":
-            self._heap = None
-            self._ready: Any = deque()
-            self._current: List[list] = []
-            self._cur = 0
-            self._base = 0
-            self._wheel: List[List[list]] = [[] for _ in range(_WHEEL_SLOTS)]
-            self._occ = 0
-            self._overflow: List[list] = []
-            self._inv = 1.0 / _WHEEL_TICK_S
-            # live-entry counts per structure (occupancy introspection)
-            self._rlive = 0
-            self._clive = 0
-            self._wcount = 0
-            self._olive = 0
-            # cumulative routing counters (scraped by obs.metrics)
-            self.wheel_scheduled = 0
-            self.overflow_scheduled = 0
-            self.overflow_migrated = 0
-        elif scheduler == "heap":
-            self._heap = []
-            self.schedule = self._schedule_heap  # type: ignore[method-assign]
-            self.cancel = self._cancel_heap  # type: ignore[method-assign]
-            self.timeout = self._timeout_heap  # type: ignore[method-assign]
-            self.step = self._step_heap  # type: ignore[method-assign]
-            self.run = self._run_heap  # type: ignore[method-assign]
-            self.run_until_complete = self._run_until_complete_heap  # type: ignore[method-assign]
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-
-    # -- scheduling (wheel) ----------------------------------------------
+    # -- scheduling ------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
         """Run ``callback(*args)`` ``delay`` seconds from now.
@@ -496,57 +405,16 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self.now
-        time = now + delay
         self._sequence = seq = self._sequence + 1
-        entry = [time, seq, callback, args, _IN_READY, 0]
-        if time == now:
-            self._ready.append(entry)
-            self._rlive += 1
-        else:
-            self._route(entry)
+        entry = [self.now + delay, seq, callback, args]
+        heappush(self._heap, entry)
         return entry
-
-    def _route(self, entry: list) -> None:
-        """Place a future-time entry into current / wheel / overflow."""
-        time = entry[0]
-        tick = int(time * self._inv)
-        base = self._base
-        if tick <= base:
-            # Same tick as the bucket being drained (or a re-based gap):
-            # keep the sorted order past the drain pointer.  An entry with
-            # time > now always lands at or after the pointer because every
-            # drained entry compares strictly smaller.
-            if not self._wcount and self._cur == len(self._current):
-                # Nothing short-horizon is pending: re-base the wheel so
-                # this (and subsequent near-term) entries take the O(1)
-                # bucket path instead of degenerating to sorted inserts.
-                self._base = base = tick - 1
-            else:
-                entry[4] = _IN_CURRENT
-                insort(self._current, entry, lo=self._cur)
-                self._clive += 1
-                return
-        if tick - base < _WHEEL_SLOTS:
-            bucket = self._wheel[tick % _WHEEL_SLOTS]
-            entry[4] = bucket
-            entry[5] = len(bucket)
-            bucket.append(entry)
-            self._occ |= 1 << (tick % _WHEEL_SLOTS)
-            self._wcount += 1
-            self.wheel_scheduled += 1
-            return
-        entry[4] = _IN_OVERFLOW
-        heappush(self._overflow, entry)
-        self._olive += 1
-        self.overflow_scheduled += 1
 
     def cancel(self, entry: list) -> bool:
         """Deschedule an entry returned by :meth:`schedule`.
 
-        Wheel-bucket entries are physically removed (O(1) swap-remove, no
-        tombstone); now-deque/current/overflow entries are tombstoned and
-        skipped for free.  Returns ``False`` if the entry already ran or
+        The entry is tombstoned in place and dropped when it reaches the
+        head of the heap.  Returns ``False`` if the entry already ran or
         was already cancelled.
         """
         if entry[2] is None:
@@ -554,24 +422,6 @@ class Simulator:
         entry[2] = None
         entry[3] = ()
         self.events_cancelled += 1
-        where = entry[4]
-        if type(where) is list:
-            # True deletion from a wheel bucket.
-            i = entry[5]
-            last = where[-1]
-            if last is not entry:
-                where[i] = last
-                last[5] = i
-            where.pop()
-            self._wcount -= 1
-            if not where:
-                self._occ &= ~(1 << (int(entry[0] * self._inv) % _WHEEL_SLOTS))
-        elif where == _IN_READY:
-            self._rlive -= 1
-        elif where == _IN_CURRENT:
-            self._clive -= 1
-        else:
-            self._olive -= 1
         return True
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> list:
@@ -586,16 +436,8 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"schedule_at in the past: {time} < {self.now}")
         self._sequence = seq = self._sequence + 1
-        if self._heap is not None:
-            entry = [time, seq, callback, args]
-            heappush(self._heap, entry)
-            return entry
-        entry = [time, seq, callback, args, _IN_READY, 0]
-        if time == self.now:
-            self._ready.append(entry)
-            self._rlive += 1
-        else:
-            self._route(entry)
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
         return entry
 
     def discard(self, entry: list) -> bool:
@@ -640,14 +482,9 @@ class Simulator:
             timeout._triggered = True
             timeout._processed = False
             self._sequence = seq = self._sequence + 1
-            now = self.now
-            time = now + delay
-            timeout._entry = entry = [time, seq, timeout._process_callbacks, (), _IN_READY, 0]
-            if time == now:
-                self._ready.append(entry)
-                self._rlive += 1
-            else:
-                self._route(entry)
+            timeout._entry = entry = [self.now + delay, seq,
+                                      timeout._process_callbacks, ()]
+            heappush(self._heap, entry)
             return timeout
         return Timeout(self, delay, value)
 
@@ -660,298 +497,13 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- occupancy introspection ----------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        """Live (un-fired, un-cancelled) scheduled entries."""
-        if self._heap is not None:
-            return sum(1 for e in self._heap if e[2] is not None)
-        return self._rlive + self._clive + self._wcount + self._olive
-
-    @property
-    def backing_size(self) -> int:
-        """Physical entries held by the scheduler, tombstones included."""
-        if self._heap is not None:
-            return len(self._heap)
-        return (len(self._ready) + (len(self._current) - self._cur)
-                + self._wcount + len(self._overflow))
-
-    def scheduler_stats(self) -> dict:
-        """Occupancy/routing snapshot for obs.metrics and the benches."""
-        if self._heap is not None:
-            return {"scheduler": "heap", "pending": self.pending_count,
-                    "backing": len(self._heap)}
-        return {
-            "scheduler": "wheel",
-            "pending": self.pending_count,
-            "backing": self.backing_size,
-            "ready": self._rlive,
-            "current": self._clive,
-            "wheel": self._wcount,
-            "overflow": self._olive,
-            "wheel_scheduled": self.wheel_scheduled,
-            "overflow_scheduled": self.overflow_scheduled,
-            "overflow_migrated": self.overflow_migrated,
-        }
-
-    # -- execution (wheel) -----------------------------------------------
-
-    def _advance(self) -> bool:
-        """Load the next non-empty bucket into ``_current``.
-
-        Returns ``False`` when nothing is pending anywhere.  May need to
-        be called again after it returns ``True`` (e.g. after an overflow
-        migration or re-base) — callers loop on their head checks.
-        """
-        inv = self._inv
-        base = self._base
-        overflow = self._overflow
-        horizon = base + _WHEEL_SLOTS
-        moved = False
-        while overflow:
-            head = overflow[0]
-            if head[2] is None:
-                heappop(overflow)
-                continue
-            tick = int(head[0] * inv)
-            if tick >= horizon:
-                break
-            heappop(overflow)
-            self._olive -= 1
-            self.overflow_migrated += 1
-            # The entry object is the caller's cancel handle: re-route it
-            # in place so a later cancel still finds it.
-            self._route(head)
-            moved = True
-        if moved:
-            return True
-        if self._wcount:
-            occ = self._occ
-            start = (base + 1) % _WHEEL_SLOTS
-            hi = occ >> start
-            if hi:
-                slot = start + ((hi & -hi).bit_length() - 1)
-                tick = base + 1 + (slot - start)
-            else:
-                slot = (occ & -occ).bit_length() - 1
-                tick = base + 1 + (_WHEEL_SLOTS - start) + slot
-            bucket = self._wheel[slot]
-            self._wheel[slot] = []
-            self._occ = occ & ~(1 << slot)
-            count = len(bucket)
-            self._wcount -= count
-            bucket.sort()
-            for e in bucket:
-                e[4] = _IN_CURRENT
-            self._current = bucket
-            self._clive += count
-            self._cur = 0
-            self._base = tick
-            return True
-        if self._olive:
-            while overflow and overflow[0][2] is None:
-                heappop(overflow)
-            if not overflow:
-                return False
-            tick = int(overflow[0][0] * inv)
-            if tick > base:
-                self._base = tick - 1
-            return True
-        return False
-
-    def step(self) -> None:
-        """Process the single next scheduled live callback."""
-        while True:
-            ready = self._ready
-            current = self._current
-            i = self._cur
-            n = len(current)
-            while i < n and current[i][2] is None:
-                i += 1
-            self._cur = i
-            if ready:
-                head = ready[0]
-                if head[2] is None:
-                    ready.popleft()
-                    continue
-                if i < n and current[i][0] <= self.now:
-                    entry = current[i]
-                    self._cur = i + 1
-                    self._clive -= 1
-                else:
-                    entry = ready.popleft()
-                    self._rlive -= 1
-            elif i < n:
-                entry = current[i]
-                self._cur = i + 1
-                self._clive -= 1
-            else:
-                if not self._advance():
-                    raise IndexError("step(): nothing scheduled")
-                continue
-            break
-        when = entry[0]
-        if when < self.now:
-            raise SimulationError("event queue went backwards in time")
-        callback = entry[2]
-        entry[2] = None
-        self.now = when
-        self.events_processed += 1
-        callback(*entry[3])
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer._kernel_tick(self, callback)
+    # -- execution -------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
         Returns the simulated time at which execution stopped.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
-        ready = self._ready
-        while True:
-            current = self._current
-            i = self._cur
-            n = len(current)
-            while i < n and current[i][2] is None:
-                i += 1
-            self._cur = i
-            if ready:
-                head = ready[0]
-                if head[2] is None:
-                    ready.popleft()
-                    continue
-                if i < n and current[i][0] <= self.now:
-                    entry = current[i]
-                    self._cur = i + 1
-                    self._clive -= 1
-                else:
-                    entry = ready.popleft()
-                    self._rlive -= 1
-            elif i < n:
-                entry = current[i]
-                if until is not None and entry[0] > until:
-                    self.now = until
-                    return until
-                self._cur = i + 1
-                self._clive -= 1
-            else:
-                if self._advance():
-                    continue
-                if until is not None:
-                    self.now = until
-                    return until
-                return self.now
-            callback = entry[2]
-            entry[2] = None
-            self.now = entry[0]
-            self.events_processed += 1
-            callback(*entry[3])
-            if tracing:
-                tracer._kernel_tick(self, callback)
-
-    def run_until_complete(self, process: Process, limit: float = float("inf")) -> Any:
-        """Run until ``process`` finishes; return its value or raise its error.
-
-        ``limit`` bounds simulated time as a runaway guard.
-        """
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
-        ready = self._ready
-        while not process._triggered:
-            current = self._current
-            i = self._cur
-            n = len(current)
-            while i < n and current[i][2] is None:
-                i += 1
-            self._cur = i
-            if ready:
-                head = ready[0]
-                if head[2] is None:
-                    ready.popleft()
-                    continue
-                if i < n and current[i][0] <= self.now:
-                    entry = current[i]
-                    self._cur = i + 1
-                    self._clive -= 1
-                else:
-                    entry = ready.popleft()
-                    self._rlive -= 1
-            elif i < n:
-                entry = current[i]
-                if entry[0] > limit:
-                    raise SimulationError(f"time limit {limit} exceeded waiting for {process!r}")
-                self._cur = i + 1
-                self._clive -= 1
-            else:
-                if self._advance():
-                    continue
-                raise SimulationError(f"deadlock: {process!r} never completed and the event queue drained")
-            callback = entry[2]
-            entry[2] = None
-            self.now = entry[0]
-            self.events_processed += 1
-            callback(*entry[3])
-            if tracing:
-                tracer._kernel_tick(self, callback)
-        return process.value
-
-    # -- reference heap scheduler (equivalence tests / fallback) ---------
-
-    def _schedule_heap(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        self._sequence = seq = self._sequence + 1
-        entry = [self.now + delay, seq, callback, args]
-        heappush(self._heap, entry)
-        return entry
-
-    def _cancel_heap(self, entry: list) -> bool:
-        if entry[2] is None:
-            return False
-        entry[2] = None
-        entry[3] = ()
-        self.events_cancelled += 1
-        return True
-
-    def _timeout_heap(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout._value = value
-            timeout._exception = None
-            timeout._triggered = True
-            timeout._processed = False
-            self._sequence = seq = self._sequence + 1
-            timeout._entry = entry = [self.now + delay, seq,
-                                      timeout._process_callbacks, ()]
-            heappush(self._heap, entry)
-            return timeout
-        return Timeout(self, delay, value)
-
-    def _step_heap(self) -> None:
-        while True:
-            entry = heappop(self._heap)
-            callback = entry[2]
-            if callback is not None:
-                break
-        when = entry[0]
-        if when < self.now:
-            raise SimulationError("event queue went backwards in time")
-        entry[2] = None
-        self.now = when
-        self.events_processed += 1
-        callback(*entry[3])
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer._kernel_tick(self, callback)
-
-    def _run_heap(self, until: Optional[float] = None) -> float:
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
         heap = self._heap
@@ -987,19 +539,27 @@ class Simulator:
         self.now = until
         return self.now
 
-    def _run_until_complete_heap(self, process: Process, limit: float = float("inf")) -> Any:
+    def run_until_complete(self, process: Process, limit: float = float("inf")) -> Any:
+        """Run until ``process`` finishes; return its value or raise its error.
+
+        ``limit`` bounds simulated time as a runaway guard.
+        """
         heap = self._heap
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         while not process._triggered:
             if not heap:
                 raise SimulationError(f"deadlock: {process!r} never completed and the event queue drained")
-            if heap[0][0] > limit:
-                raise SimulationError(f"time limit {limit} exceeded waiting for {process!r}")
-            entry = heappop(heap)
+            entry = heap[0]
             callback = entry[2]
             if callback is None:
+                # Drop a cancelled head before the limit test: a tombstone
+                # beyond ``limit`` is not pending work.
+                heappop(heap)
                 continue
+            if entry[0] > limit:
+                raise SimulationError(f"time limit {limit} exceeded waiting for {process!r}")
+            heappop(heap)
             entry[2] = None
             self.now = entry[0]
             self.events_processed += 1

@@ -101,23 +101,6 @@ def _full_observables(config=None):
     }, scenario
 
 
-def test_legacy_heap_scheduler_bit_identical():
-    """The timer wheel vs the legacy heap: one full migration, every
-    observable equal — including the event counters, which the wheel must
-    reproduce exactly despite routing entries through different plumbing."""
-    from repro.config import default_config
-
-    heap_config = default_config()
-    heap_config.scheduler = "heap"
-    wheel, wheel_scn = _full_observables()
-    heap, heap_scn = _full_observables(heap_config)
-    assert wheel == heap
-    assert wheel["blackout_s"] == EXPECTED["blackout_s"]
-    assert wheel["final_now"] == EXPECTED["final_now"]
-    assert wheel_scn.tb.sim.scheduler_stats()["scheduler"] == "wheel"
-    assert heap_scn.tb.sim.scheduler_stats()["scheduler"] == "heap"
-
-
 def test_flow_aggregation_bit_identical():
     """The express lane (flow-level aggregation of clean-window bulk WRs)
     vs the packet-level path: identical timestamps, event counts and NIC

@@ -114,32 +114,11 @@ class TestNetwork:
         assert net.messages_dropped > 0
         assert len(received) < 50
 
-    def test_legacy_loss_rate_deprecated_but_works(self, sim, net):
-        with pytest.warns(DeprecationWarning):
-            net.set_loss_rate(0.999)
-        received = []
-        net.node("b").register_handler("test", received.append)
-        for _ in range(50):
-            net.node("a").send(Message("a", "b", "test", 100))
-        sim.run()
-        assert net.messages_dropped > 0
-
-    def test_loss_rate_validation(self, net):
-        # Validation rejects before the deprecation warning fires.
-        with pytest.raises(ValueError):
-            net.set_loss_rate(1.0)
-        with pytest.raises(ValueError):
-            net.set_loss_rate(-0.1)
-        assert net.loss_rate == 0.0
-
     def test_reset_faults_clears_stale_state(self, sim, net):
         from repro.chaos import FaultPlan
 
-        with pytest.warns(DeprecationWarning):
-            net.set_loss_rate(0.5)
         FaultPlan(seed=1).drop(1.0).install(net)
         net.reset_faults()
-        assert net.loss_rate == 0.0
         assert net.fault_injector is None
         received = []
         net.node("b").register_handler("test", received.append)

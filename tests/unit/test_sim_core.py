@@ -226,6 +226,17 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_complete(process)
 
+    def test_cancelled_timer_beyond_limit_is_deadlock_not_time_limit(self, sim):
+        event = sim.event()  # never fired
+
+        def proc():
+            yield event
+
+        process = sim.spawn(proc())
+        sim.cancel(sim.schedule(20.0, lambda: None))
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_complete(process, limit=10.0)
+
     def test_time_limit_enforced(self, sim):
         def slow():
             yield sim.timeout(1e9)
