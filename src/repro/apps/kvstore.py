@@ -509,7 +509,7 @@ class KvServer:
         # conn.next_seq is reserved for send-queue accounting (the
         # cqe-conservation checker reads it); the RECV ring keeps its own
         # cursor.
-        seq = getattr(conn, "_recv_ring_seq", 0)
+        seq = conn._recv_ring_seq
         conn._recv_ring_seq = seq + 1
         addr = self._recv_slot_addr(conn.index, seq)
         self.lib.post_recv(conn.qp, RecvWR(

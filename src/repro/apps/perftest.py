@@ -63,6 +63,9 @@ class Connection:
     expect_recv_seq: int = 0
     completed: int = 0
     recv_completed: int = 0
+    #: RECV-ring cursor of servers that keep ``next_seq`` for send-queue
+    #: accounting (the KV server's message ring)
+    _recv_ring_seq: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass

@@ -58,7 +58,7 @@ class VirtChannel:
 
     @property
     def _phys(self):
-        return self.lib.resource(self.rid)
+        return self.lib.state.resources[self.rid]
 
 
 class VirtMR:
@@ -110,7 +110,7 @@ class VirtCQ:
 
     @property
     def _phys(self) -> CQ:
-        return self.lib.resource(self.rid)
+        return self.lib.state.resources[self.rid]
 
 
 class VirtSRQ:
@@ -124,7 +124,7 @@ class VirtSRQ:
 
     @property
     def _phys(self):
-        return self.lib.resource(self.rid)
+        return self.lib.state.resources[self.rid]
 
 
 class VirtQP:
@@ -170,7 +170,7 @@ class VirtQP:
 
     @property
     def _phys(self):
-        return self.lib.resource(self.rid)
+        return self.lib.state.resources[self.rid]
 
     @property
     def suspended(self) -> bool:
@@ -215,9 +215,6 @@ class MigrRdmaGuestLib(VerbsAPI):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-
-    def resource(self, rid: int):
-        return self.state.resources[rid]
 
     @property
     def node_name(self) -> str:
@@ -453,10 +450,11 @@ class MigrRdmaGuestLib(VerbsAPI):
             self._register_pending_bind(qp, wr)
         # Preserve order behind any backlog, and absorb bursts (WR replay
         # after restore) that exceed the physical send queue's depth.
-        if qp.backlog or qp._phys.sq_space() <= 0:
+        phys = qp._phys
+        if qp.backlog or phys.sq_space() <= 0:
             qp.backlog.append(wr)
             return
-        self.layer.rnic.post_send(qp._phys, wr)
+        self.layer.rnic.post_send(phys, wr)
 
     def _drain_backlog(self, qp: VirtQP) -> None:
         phys = qp._phys
@@ -647,13 +645,15 @@ class MigrRdmaGuestLib(VerbsAPI):
         cfg = cpu.config
         cpu.charge_base("poll")
         out: List[WorkCompletion] = []
+        room = max_entries
         # Fake CQ first (§3.4): entries drained during wait-before-stop.
-        while cq.fake and len(out) < max_entries:
+        while cq.fake and room > 0:
             wc = cq.fake.popleft()
             out.append(self._translate_wc(wc, from_fake=True))
             cpu.charge("virt", cfg.qpn_array_lookup_cycles)
-        if len(out) < max_entries:
-            for wc in self.poll_real(cq, max_entries - len(out)):
+            room -= 1
+        if room > 0:
+            for wc in self.poll_real(cq, room):
                 out.append(self._translate_wc(wc, from_fake=False))
                 cpu.charge("virt", cfg.qpn_array_lookup_cycles)
         if out:
@@ -715,6 +715,8 @@ class MigrRdmaGuestLib(VerbsAPI):
             vqpn = self.temp_qpn_map[wc.qp_num]
         else:
             vqpn = self.layer.qpn_table.lookup_or_identity(wc.qp_num)
+        if vqpn == wc.qp_num:
+            return wc  # identity translation: the CQE goes up as-is
         return WorkCompletion(
             wr_id=wc.wr_id, status=wc.status, opcode=wc.opcode,
             qp_num=vqpn, byte_len=wc.byte_len, imm_data=wc.imm_data)

@@ -9,7 +9,7 @@ Usage::
     python -m repro.experiments table4 [--jobs 4]
     python -m repro.experiments fig6 [--task dfsio] [--fast] [--jobs 3]
     python -m repro.experiments migros [--qps 16,64,256] [--jobs 4]
-    python -m repro.experiments trace [--qps 8] [--out trace.json]
+    python -m repro.experiments trace [--qps 8] [--census] [--out trace.json]
     python -m repro.experiments kv [--seed 7] [--noise off,40,unshaped] [--jobs 3]
     python -m repro.experiments torture [--seed 7] [--runs 25] [--app kv] [--jobs 4]
     python -m repro.experiments recovery [--kill-dest-at precopy-dumped] [--jobs 2]
@@ -184,10 +184,12 @@ def cmd_trace(args) -> None:
     from repro import cluster
     from repro.apps.perftest import PerftestEndpoint, connect_endpoints
     from repro.core import LiveMigration, MigrRdmaWorld
-    from repro.obs import MetricsRegistry, Tracer, timeline_summary, write_chrome_trace
+    from repro.obs import (MetricsRegistry, Tracer, census_summary,
+                           timeline_summary, write_chrome_trace)
 
     tb = cluster.build(num_partners=1)
-    tracer = Tracer(tb.sim, kernel_dispatch=args.kernel_dispatch).attach()
+    tracer = Tracer(tb.sim, kernel_dispatch=args.kernel_dispatch,
+                    census=args.census).attach()
     world = MigrRdmaWorld(tb)
     kwargs = dict(world=world, mode="write", msg_size=args.msg_size, depth=8)
     migrate = args.migrate
@@ -222,6 +224,9 @@ def cmd_trace(args) -> None:
     write_chrome_trace(tracer, args.out, metrics=metrics)
     print(timeline_summary(tracer, metrics=metrics))
     print()
+    if args.census:
+        print(census_summary(tracer))
+        print()
     print(f"blackout {report.blackout_s * 1e3:.1f} ms, "
           f"wbs {report.wbs_elapsed_s * 1e6:.0f} us, "
           f"{len(tracer)} trace records -> {args.out} "
@@ -471,6 +476,8 @@ def main(argv=None) -> int:
     pt.add_argument("--no-presetup", action="store_true")
     pt.add_argument("--kernel-dispatch", action="store_true",
                     help="per-event kernel dispatch instants (large trace)")
+    pt.add_argument("--census", action="store_true",
+                    help="count kernel dispatches by callback family")
     pt.add_argument("--out", default="trace.json")
 
     pk = sub.add_parser("kv", help="KV store under a noisy neighbour "

@@ -9,26 +9,26 @@ or the migration control plane).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 _message_ids = itertools.count(1)
 
 
-@dataclass
 class Message:
     """A unit of transmission on the fabric."""
 
-    src: str
-    dst: str
-    protocol: str
-    size_bytes: int
-    payload: Any = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    __slots__ = ("src", "dst", "protocol", "size_bytes", "payload", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative message size: {self.size_bytes}")
+    def __init__(self, src: str, dst: str, protocol: str, size_bytes: int,
+                 payload: Any = None):
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.size_bytes = size_bytes
+        self.payload = payload
+        self.msg_id = next(_message_ids)
 
     def __repr__(self) -> str:
         return (

@@ -122,7 +122,7 @@ class Network:
         src = self.node(message.src)
         self.node(message.dst)  # validate early
         self.messages_sent += 1
-        src.port.transmit(message.size_bytes, self._propagate, message)
+        src.port.transmit_cb(message.size_bytes, self._propagate, message)
 
     def transmit_raw(self, src: str, dst: str, size_bytes: int, protocol: str, payload) -> None:
         """Inject a message whose serialization was already metered.
@@ -131,13 +131,20 @@ class Network:
         this to hand the fully-serialized message to the switch without
         paying serialization twice.
         """
-        self.node(src)
-        self.node(dst)
+        nodes = self.nodes
+        if src not in nodes or dst not in nodes:
+            self.node(src)  # raises LookupError naming the unknown one
+            self.node(dst)
         self.messages_sent += 1
-        self._propagate(Message(src=src, dst=dst, protocol=protocol,
-                                size_bytes=size_bytes, payload=payload))
+        self._propagate(Message(src, dst, protocol, size_bytes, payload))
 
     def _propagate(self, message: Message) -> None:
+        # The one per-message resolution of the destination; the topology
+        # and the delivery event carry the node forward.
+        try:
+            dst = self.nodes[message.dst]
+        except KeyError:
+            dst = self.node(message.dst)  # raises LookupError
         injector = self.fault_injector
         if injector is not None:
             verdict = injector.intercept(message, self.sim.now)
@@ -150,15 +157,13 @@ class Network:
                     return
                 if self.topology is not None:
                     for extra in verdict:
-                        self.topology.route(message, extra)
+                        self.topology.route(message, dst, extra)
                     return
-                dst = self.node(message.dst)
                 base = self.config.link.propagation_delay_s
                 for extra in verdict:
                     self.sim.schedule(base + extra, dst.deliver, message)
                 return
         if self.topology is not None:
-            self.topology.route(message)
+            self.topology.route(message, dst)
             return
-        dst = self.node(message.dst)
         self.sim.schedule(self.config.link.propagation_delay_s, dst.deliver, message)

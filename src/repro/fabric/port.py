@@ -10,9 +10,13 @@ hold in Figure 4.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque
 
 from repro.sim import Event, Simulator
+
+#: ``done`` slot of a queued item whose callback is dispatched as its own
+#: schedule entry at wire-done (:meth:`Port.transmit_deferred`).
+_DEFERRED = object()
 
 
 class Port:
@@ -66,24 +70,47 @@ class Port:
     def serialization_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.rate_bps
 
-    def transmit(self, size_bytes: int, on_wire_done: Optional[Callable] = None,
-                 *cb_args) -> Event:
+    def transmit(self, size_bytes: int) -> Event:
         """Enqueue a transmission; the returned event fires at wire-done.
+        For callers that wait on it; a caller that only needs a callback
+        uses :meth:`transmit_cb` or :meth:`transmit_deferred` (no event)."""
+        done = self.sim.event()
+        self._enqueue((size_bytes, None, (), done))
+        return done
 
-        ``on_wire_done(*cb_args)`` (if given) runs at that moment — passing
-        the args here lets hot callers avoid a closure per message.
-        """
+    def transmit_cb(self, size_bytes: int, on_wire_done: Callable, *cb_args) -> None:
+        """Enqueue a transmission; ``on_wire_done(*cb_args)`` runs inside
+        the port's finish event at wire-done.  The wire-done dispatch an
+        event would have added has no listener, so it is credited
+        (``Simulator.credit_events``) instead of being pushed, popped and
+        run: same instants, same order, same ``events_processed``."""
+        self._enqueue((size_bytes, on_wire_done, cb_args, None))
+
+    def transmit_deferred(self, size_bytes: int, on_wire_done: Callable, *cb_args) -> None:
+        """Enqueue a transmission; ``on_wire_done(*cb_args)`` is dispatched
+        as its own schedule entry at the wire-done instant: exactly the
+        slot a wire-done event's ``succeed()`` would take (same instant,
+        same position among same-instant entries), minus the event."""
+        self._enqueue((size_bytes, on_wire_done, cb_args, _DEFERRED))
+
+    def _enqueue(self, item: tuple) -> None:
         lane = self.flow_lane
         if lane is not None:
             lane.materialize("port-conflict")
-        done = self.sim.event()
-        item = (size_bytes, on_wire_done, cb_args, done)
         if self._active:
             self._pending.append(item)
         else:
             self._active = True
             self._begin(item)
-        return done
+
+    def occupy_until(self, time: float, on_wire_done: Callable, *cb_args) -> None:
+        """Hold the (idle) port busy until absolute ``time``, then dispatch
+        ``on_wire_done(*cb_args)`` like :meth:`transmit_deferred` would.
+        Express-lane de-aggregation puts an ack that is notionally still
+        serializing back on the port this way, so foreign traffic queues
+        behind it; its bytes were booked already, hence a zero-byte item."""
+        self._active = True
+        self.sim.schedule_at(time, self._finish, (0, on_wire_done, cb_args, _DEFERRED))
 
     def _begin(self, item: tuple) -> None:
         size_bytes = item[0]
@@ -98,11 +125,16 @@ class Port:
 
     def _finish(self, item: tuple) -> None:
         size_bytes, on_wire_done, cb_args, done = item
+        sim = self.sim
         self._bytes_sent += size_bytes
-        self._busy_until = self.sim.now
-        if on_wire_done is not None:
+        self._busy_until = sim.now
+        if done is _DEFERRED:
+            sim.schedule(0.0, on_wire_done, *cb_args)
+        elif done is None:
             on_wire_done(*cb_args)
-        done.succeed(self.sim.now)
+            sim.credit_events(processed=1)
+        else:
+            done.succeed(sim.now)
         if self._pending:
             self._begin(self._pending.popleft())
         else:

@@ -116,11 +116,11 @@ class FatTreeTopology:
     # ------------------------------------------------------------------
     # Routing (called from Network._propagate for every delivery)
 
-    def route(self, message, extra_delay_s: float = 0.0) -> None:
-        """Deliver ``message`` along its topology path.  ``extra_delay_s``
-        carries any fault-injector delay and is applied on the first hop,
-        matching the flat network's behaviour."""
-        dst = self.network.node(message.dst)
+    def route(self, message, dst, extra_delay_s: float = 0.0) -> None:
+        """Deliver ``message`` to its destination node ``dst`` along its
+        topology path.  ``extra_delay_s`` carries any fault-injector delay
+        and is applied on the first hop, matching the flat network's
+        behaviour."""
         src_rack = self.rack_of.get(message.src)
         dst_rack = self.rack_of.get(message.dst)
         if src_rack is None or dst_rack is None or src_rack == dst_rack:
@@ -129,21 +129,18 @@ class FatTreeTopology:
             self.sim.schedule(self.prop_s + extra_delay_s, dst.deliver, message)
             return
         self.cross_rack_messages += 1
-        self.sim.schedule(self.prop_s + extra_delay_s, self._enter_uplink,
-                          self.uplinks[src_rack], self.downlinks[dst_rack],
-                          dst, message)
+        self.sim.schedule(self.prop_s + extra_delay_s,
+                          self.uplinks[src_rack].transmit_cb, message.size_bytes,
+                          self._cross_spine, self.downlinks[dst_rack], dst, message)
 
-    # The hop chain threads state through Port.transmit cb_args / schedule
-    # args instead of closures — same no-allocation discipline as the RNIC.
-
-    def _enter_uplink(self, up: Port, down: Port, dst, message) -> None:
-        up.transmit(message.size_bytes, self._cross_spine, down, dst, message)
+    # The hop chain threads state through Port.transmit_cb cb_args /
+    # schedule args instead of closures — same no-allocation discipline as
+    # the RNIC — and enters each trunk by scheduling its transmit_cb
+    # directly.  The trunks' wire-done instants have no listener.
 
     def _cross_spine(self, down: Port, dst, message) -> None:
-        self.sim.schedule(self.prop_s, self._enter_downlink, down, dst, message)
-
-    def _enter_downlink(self, down: Port, dst, message) -> None:
-        down.transmit(message.size_bytes, self._last_hop, dst, message)
+        self.sim.schedule(self.prop_s, down.transmit_cb, message.size_bytes,
+                          self._last_hop, dst, message)
 
     def _last_hop(self, dst, message) -> None:
         self.sim.schedule(self.prop_s, dst.deliver, message)

@@ -210,7 +210,7 @@ class AddressSpace:
         vma = self.find(addr)
         if vma is None:
             raise MemoryError_(f"{self.name}: read fault at {addr:#x}")
-        if addr + size <= vma.end:
+        if addr + size <= vma.start + vma.store.length:
             # Fast path: the whole range lives in one VMA.
             return vma.store.read(addr - vma.start, size, as_run)
         return b"".join(vma.store.read(offset, take)
@@ -221,7 +221,7 @@ class AddressSpace:
         without having written anything."""
         size = len(data)
         vma = self.find(addr)
-        if vma is not None and addr + size <= vma.end:
+        if vma is not None and addr + size <= vma.start + vma.store.length:
             # Fast path: the whole range lives in one VMA.
             vma.store.write(addr - vma.start, data)
             return

@@ -27,13 +27,14 @@ class PageRun:
     slice materialises.
     """
 
-    __slots__ = ("pages",)
+    __slots__ = ("pages", "_nbytes")
 
     def __init__(self, pages: List[bytes]):
         self.pages = pages
+        self._nbytes = len(pages) * PAGE_SIZE  # a run is fixed once built
 
     def __len__(self) -> int:
-        return len(self.pages) * PAGE_SIZE
+        return self._nbytes
 
     def __bytes__(self) -> bytes:
         return b"".join(self.pages)
@@ -118,7 +119,8 @@ class PageStore:
         is copied except for pages that are mutable right now, which are
         snapshotted so the payload is fixed at gather time.
         """
-        self._check_range(offset, size)
+        if offset < 0 or size < 0 or offset + size > self.length:
+            self._check_range(offset, size)  # raises
         pages = self._pages
         index, within = divmod(offset, PAGE_SIZE)
         if within + size <= PAGE_SIZE:
@@ -156,7 +158,8 @@ class PageStore:
 
     def write(self, offset: int, data: Payload) -> None:
         size = len(data)
-        self._check_range(offset, size)
+        if offset < 0 or offset + size > self.length:
+            self._check_range(offset, size)  # raises
         pages = self._pages
         dirty = self._dirty
         index, within = divmod(offset, PAGE_SIZE)
@@ -165,7 +168,7 @@ class PageStore:
                 # Aligned run: install the page images themselves.  They
                 # may now be shared with the store they were gathered
                 # from; both sides only ever mutate a copy (see _page).
-                span = range(index, index + len(data.pages))
+                span = range(index, index + size // PAGE_SIZE)
                 pages.update(zip(span, data.pages))
                 dirty.update(span)
                 return

@@ -17,7 +17,9 @@ without ad-hoc printf archaeology:
   (NIC bytes, kernel events, translation-cache hits, WBS drain counts)
   under one snapshot.
 - exporters (:mod:`repro.obs.export`) — Chrome trace-event JSON loadable
-  in Perfetto / ``chrome://tracing``, and a plain-text timeline summary.
+  in Perfetto / ``chrome://tracing``, a plain-text timeline summary, and
+  the event census (``Tracer(sim, census=True)``: kernel dispatches by
+  callback family, including events that wake nobody).
 
 Quick use::
 
@@ -30,7 +32,12 @@ Quick use::
     write_chrome_trace(tracer, "trace.json", metrics=metrics)
 """
 
-from repro.obs.export import chrome_trace_events, timeline_summary, write_chrome_trace
+from repro.obs.export import (
+    census_summary,
+    chrome_trace_events,
+    timeline_summary,
+    write_chrome_trace,
+)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import Lane, Span, Tracer
 
@@ -42,6 +49,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
+    "census_summary",
     "chrome_trace_events",
     "timeline_summary",
     "write_chrome_trace",

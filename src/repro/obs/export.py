@@ -85,6 +85,19 @@ def write_chrome_trace(tracer: Tracer, path, metrics=None) -> Dict[str, Any]:
     return document
 
 
+def census_summary(tracer: Tracer) -> str:
+    """Plain-text event census: kernel dispatches by callback family,
+    most frequent first, with the share of all dispatches counted."""
+    census = tracer.census or {}
+    total = sum(census.values())
+    lines = [f"event census: {total} dispatches "
+             f"(+{tracer.sim.events_credited} credited, never dispatched)",
+             f"  {'events':>10}{'share':>8}  family"]
+    for family, count in sorted(census.items(), key=lambda kv: (-kv[1], kv[0])):
+        lines.append(f"  {count:>10}{count / total:>8.1%}  {family}")
+    return "\n".join(lines)
+
+
 def timeline_summary(tracer: Tracer, metrics=None, top: int = 20) -> str:
     """Plain-text report: per-lane span stats + the longest spans."""
     per_lane: Dict[Any, Dict[str, float]] = {}

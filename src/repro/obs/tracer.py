@@ -27,8 +27,11 @@ Hard guarantees
 
 from __future__ import annotations
 
+import re
 import time
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.sim.core import Event, Process, Timeout
 
 __all__ = ["Lane", "Span", "Tracer"]
 
@@ -37,6 +40,38 @@ _SPAN = "X"
 _BEGIN = "B"
 _INSTANT = "i"
 _COUNTER = "C"
+
+
+#: numeric ids in process names (QPNs, pids, SSNs) — dropped so that all
+#: instances of one kind of process land in one census family
+_ID_RE = re.compile(r"0x[0-9a-f]+|\d+")
+
+
+def _qualname(callback) -> str:
+    return getattr(callback, "__qualname__", None) or repr(callback)
+
+
+def event_family(callback) -> str:
+    """Census key of a schedule entry about to be dispatched.
+
+    A plain callback is its qualified name (``Port._finish``,
+    ``Node.deliver``).  An event firing is keyed by who listens: the
+    waiting process's name with its ids dropped for a process ``yield``,
+    the first listener's qualified name otherwise, and ``event with no
+    listener`` when the dispatch will wake nobody — the kind of entry a
+    caller can elide and credit (DESIGN.md §12.4).
+    """
+    owner = getattr(callback, "__self__", None)
+    if not isinstance(owner, Event) or callback.__name__ != "_process_callbacks":
+        return _qualname(callback)
+    kind = "timeout" if isinstance(owner, Timeout) else "event"
+    if not owner.callbacks:
+        return f"{kind} with no listener"
+    listener = owner.callbacks[0]
+    waiter = getattr(listener, "__self__", None)
+    if isinstance(waiter, Process):
+        return f"{kind} -> process {_ID_RE.sub('#', waiter.name)}"
+    return f"{kind} -> {_qualname(listener)}"
 
 
 class Lane:
@@ -121,9 +156,12 @@ class Tracer:
 
     def __init__(self, sim, enabled: bool = True,
                  kernel_sample_every: int = 1024,
-                 kernel_dispatch: bool = False):
+                 kernel_dispatch: bool = False, census: bool = False):
         self.sim = sim
         self.enabled = enabled
+        #: event census: dispatches counted by :func:`event_family`
+        #: (``None`` unless asked for — it costs a classification per event).
+        self.census: Optional[Dict[str, int]] = {} if census else None
         #: per-dispatch instants on the kernel lane (verbose; big traces).
         self.kernel_dispatch = kernel_dispatch
         self.kernel_sample_every = max(1, kernel_sample_every)
@@ -216,16 +254,20 @@ class Tracer:
     # -- kernel hook -----------------------------------------------------
 
     def _kernel_tick(self, sim, callback) -> None:
-        """Called by the traced simulator loop after every dispatched event.
+        """Called by the traced simulator loop right before it dispatches
+        ``callback`` (so an event's listeners are still in place).
 
         Emits a wall-clock batch span + counter sample every
-        ``kernel_sample_every`` events, and (verbose mode) a per-dispatch
-        instant naming the callback.
+        ``kernel_sample_every`` events, (verbose mode) a per-dispatch
+        instant naming the callback, and (census mode) one count under the
+        entry's :func:`event_family`.
         """
         lane = self.kernel_lane()
+        if self.census is not None:
+            family = event_family(callback)
+            self.census[family] = self.census.get(family, 0) + 1
         if self.kernel_dispatch:
-            name = getattr(callback, "__qualname__", None) or repr(callback)
-            self._events.append((_INSTANT, lane, f"dispatch:{name}",
+            self._events.append((_INSTANT, lane, f"dispatch:{_qualname(callback)}",
                                  self._wall_us(), None))
         self._ktick += 1
         if self._kbatch_start_wall is None:

@@ -81,6 +81,10 @@ for _op in Opcode:
     _op.needs_response_payload = _op.is_atomic or _op is Opcode.RDMA_READ
 del _op
 
+#: Wire value -> member, for re-hydrating the opcode a request carries
+#: without going through ``Enum.__call__``.
+OPCODE_BY_VALUE = {op.value: op for op in Opcode}
+
 
 class WCStatus(enum.Enum):
     """Work-completion status codes."""

@@ -14,6 +14,15 @@ from typing import Optional
 
 from repro.mem import AddressSpace
 from repro.rnic.constants import AccessFlags
+
+# MRs and windows keep their access mask as a plain int beside the flag, so
+# the per-WR checks are one ``&``: remote operation -> the bit it needs.
+_LOCAL_WRITE_BIT = AccessFlags.LOCAL_WRITE.value
+_REMOTE_BIT = {
+    "read": AccessFlags.REMOTE_READ.value,
+    "write": AccessFlags.REMOTE_WRITE.value,
+    "atomic": AccessFlags.REMOTE_ATOMIC.value,
+}
 from repro.rnic.errors import AccessError, ResourceError
 
 _pd_handles = itertools.count(1)
@@ -75,14 +84,14 @@ class MR:
         self.addr = addr
         self.length = length
         self.access = access
+        #: addr + length and the access mask as an int, fixed at
+        #: registration: the per-WR checks below read them as attributes.
+        self.end = addr + length
+        self._access_bits = access.value
         self.lkey = lkey
         self.rkey = rkey
         self.on_chip = on_chip
         self.invalidated = False
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.length
 
     def covers(self, addr: int, length: int) -> bool:
         return self.addr <= addr and addr + length <= self.end
@@ -91,30 +100,26 @@ class MR:
         """Validate a local (lkey) access."""
         if self.invalidated:
             raise AccessError("access through a deregistered MR")
-        if not self.covers(addr, length):
+        if addr < self.addr or addr + length > self.end:
             raise AccessError(
                 f"local access [{addr:#x}, {addr + length:#x}) outside MR "
                 f"[{self.addr:#x}, {self.end:#x})"
             )
-        if write and not self.access & AccessFlags.LOCAL_WRITE:
+        if write and not self._access_bits & _LOCAL_WRITE_BIT:
             raise AccessError("local write without LOCAL_WRITE permission")
 
     def check_remote(self, addr: int, length: int, op: str) -> None:
         """Validate a remote (rkey) access; ``op`` in {read, write, atomic}."""
         if self.invalidated:
             raise AccessError("remote access through a deregistered MR")
-        if not self.covers(addr, length):
+        if addr < self.addr or addr + length > self.end:
             raise AccessError(
                 f"remote access [{addr:#x}, {addr + length:#x}) outside MR "
                 f"[{self.addr:#x}, {self.end:#x})"
             )
-        needed = {
-            "read": AccessFlags.REMOTE_READ,
-            "write": AccessFlags.REMOTE_WRITE,
-            "atomic": AccessFlags.REMOTE_ATOMIC,
-        }[op]
-        if not self.access & needed:
-            raise AccessError(f"remote {op} without {needed} permission")
+        needed = _REMOTE_BIT[op]
+        if not self._access_bits & needed:
+            raise AccessError(f"remote {op} without {AccessFlags(needed)} permission")
 
     def __repr__(self) -> str:
         return (
@@ -137,6 +142,7 @@ class MemoryWindow:
         self.addr = 0
         self.length = 0
         self.access = AccessFlags.NONE
+        self._access_bits = 0
         self.rkey: Optional[int] = None
         self.invalidated = False
 
@@ -155,6 +161,7 @@ class MemoryWindow:
         self.addr = addr
         self.length = length
         self.access = access
+        self._access_bits = access.value
         self.rkey = rkey
         self.invalidated = False
 
@@ -166,13 +173,10 @@ class MemoryWindow:
             raise AccessError("access through an unbound memory window")
         if not self.covers(addr, length):
             raise AccessError("remote access outside the memory window")
-        needed = {
-            "read": AccessFlags.REMOTE_READ,
-            "write": AccessFlags.REMOTE_WRITE,
-            "atomic": AccessFlags.REMOTE_ATOMIC,
-        }[op]
-        if not self.access & needed:
-            raise AccessError(f"remote {op} without {needed} window permission")
+        needed = _REMOTE_BIT[op]
+        if not self._access_bits & needed:
+            raise AccessError(
+                f"remote {op} without {AccessFlags(needed)} window permission")
 
 
 class DeviceMemory:

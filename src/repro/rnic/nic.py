@@ -32,6 +32,7 @@ from repro.mem import AddressSpace, Payload
 from repro.rnic.constants import (
     ACK_BYTES,
     ATOMIC_OPERAND_BYTES,
+    OPCODE_BY_VALUE,
     REQUEST_HEADER_BYTES,
     AccessFlags,
     Opcode,
@@ -155,7 +156,7 @@ class _FlowLane:
         sim = dst.sim
         src_name = self.src.node.name
         qp = record.qp
-        if dst._rx_backlog or dst.control_busy:
+        if dst._rx_backlog or sim.now < dst._control_busy_until:
             # Should have been materialized by the backlog/control hooks;
             # queue like the packet path would (counted by the rx worker).
             self._drop_from_lane(record)
@@ -257,20 +258,15 @@ class _FlowLane:
                 else:
                     del self.conn_pending[key]
                 sim.schedule_at(record.t_deliver, dst.node.deliver, Message(
-                    src=self.src.node.name, dst=dst.node.name,
-                    protocol=RDMA_PROTOCOL, size_bytes=record.size,
-                    payload=record.payload))
+                    self.src.node.name, dst.node.name, RDMA_PROTOCOL,
+                    record.size, record.payload))
             else:
                 # The ack is still serializing: occupy the responder's
                 # port with a synthetic in-flight item finishing at the
                 # precomputed wire-done, so foreign traffic queues behind
                 # it exactly like behind the real ack.
-                done = sim.event()
-                done.add_callback(
-                    lambda _e, r=record: self._ack_propagate(r))
-                self.port._active = True
-                sim.schedule_at(record.t_ack_done, self.port._finish,
-                                (0, None, (), done))
+                self.port.occupy_until(record.t_ack_done,
+                                       self._ack_propagate, record)
         self.records.clear()
         self.records.extend(keep)
         if not keep:
@@ -283,10 +279,8 @@ class _FlowLane:
         # (messages_sent was already booked when the record was created.)
         dst = self.dst
         dst.node.network._propagate(Message(
-            src=dst.node.name, dst=self.src.node.name,
-            protocol=RDMA_PROTOCOL, size_bytes=ACK_BYTES,
-            payload={"kind": "ack", "dst_qpn": record.qp.qpn,
-                     "ssn": record.ssn}))
+            dst.node.name, self.src.node.name, RDMA_PROTOCOL, ACK_BYTES,
+            {"kind": "ack", "dst_qpn": record.qp.qpn, "ssn": record.ssn}))
 
     def _drop_from_lane(self, record: _FlowRecord) -> None:
         self.records.remove(record)
@@ -481,7 +475,7 @@ class RNIC:
 
     def _tx_contention_factor(self) -> float:
         """Egress slowdown while firmware commands execute (Kong et al.)."""
-        if not self.control_busy:
+        if self.sim.now >= self._control_busy_until:
             return 1.0
         return 1.0 + self.config.rnic.control_contention_tx_frac
 
@@ -669,7 +663,7 @@ class RNIC:
     def _wire_size(self, payload_bytes: int) -> int:
         """Payload plus per-MTU header overhead."""
         mtu = self.config.link.mtu
-        npackets = max(1, (payload_bytes + mtu - 1) // mtu)
+        npackets = (payload_bytes + mtu - 1) // mtu or 1
         return payload_bytes + npackets * REQUEST_HEADER_BYTES
 
     def _transmit(self, qp: QP, wr: SendWR):
@@ -753,14 +747,15 @@ class RNIC:
         retransmission).  Only a first transmission may take the express
         lane; a resend means the window is not clean."""
         payload = self._request_payload(qp, wr, ssn, data)
-        size = self._wire_size(len(data)) if data else self._wire_size(wr.wire_payload_bytes)
-        yield self.node.port.transmit(size)
+        size = self._wire_size(len(data) or wr.wire_payload_bytes)
+        node = self.node
+        yield node.port.transmit(size)
         self.tx_bytes += size
         self.tx_msgs += 1
         if express and wr.opcode is Opcode.RDMA_WRITE and \
                 self._flow_express(qp, wr, ssn, data, size, payload):
             return
-        self._send_raw(qp.remote_node, size, payload)
+        node.network.transmit_raw(node.name, qp.remote_node, size, RDMA_PROTOCOL, payload)
         self._arm_retransmit(qp, ssn)
 
     def _flow_express(self, qp: QP, wr: SendWR, ssn: int, data: Payload,
@@ -784,7 +779,8 @@ class RNIC:
         if handler is None or getattr(handler, "__func__", None) is not RNIC._on_message:
             return False  # unknown / wrapped / non-RNIC receiver
         dst = handler.__self__
-        if dst.chaos is not None or dst.control_busy or dst._rx_backlog:
+        if (dst.chaos is not None or dst._rx_backlog
+                or self.sim.now < dst._control_busy_until):
             return False
         port = dst.node.port
         lane = port.flow_lane
@@ -798,7 +794,9 @@ class RNIC:
                 or dst_qp.remote_qpn != qp.qpn):
             return False
         conn_key = (self.node.name, qp.qpn)
-        conn = dst._conn_state.setdefault(conn_key, _ConnState())
+        conn = dst._conn_state.get(conn_key)
+        if conn is None:
+            conn = dst._conn_state[conn_key] = _ConnState()
         if lane is None:
             lane = self._flow_lanes.get(qp.remote_node)
             if lane is None or lane.dst is not dst:
@@ -836,15 +834,12 @@ class RNIC:
 
     def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> dict:
         return {
-            "kind": "req", "opcode": wr.opcode.value, "src_node": self.node.name,
+            # _value_ is .value without the descriptor call
+            "kind": "req", "opcode": wr.opcode._value_, "src_node": self.node.name,
             "src_qpn": qp.qpn, "dst_qpn": qp.remote_qpn, "ssn": ssn, "data": data,
             "imm": wr.imm_data, "remote_addr": wr.remote_addr, "rkey": wr.rkey,
             "compare_add": wr.compare_add, "swap": wr.swap, "length": wr.total_length,
         }
-
-    def _send_raw(self, dst: str, size: int, payload: dict) -> None:
-        """Inject a message that has already been metered through the port."""
-        self.node.network.transmit_raw(self.node.name, dst, size, RDMA_PROTOCOL, payload)
 
     # -- retransmission (go-back-N) ------------------------------------------
 
@@ -901,7 +896,7 @@ class RNIC:
 
     def _flush_sq(self, qp: QP) -> None:
         """Flush pending+inflight WRs with WR_FLUSH_ERR after an error."""
-        getattr(qp, "_acked", {}).clear()
+        qp._acked.clear()
         while qp.sq_pending:
             wr = qp.sq_pending.popleft()
             self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
@@ -923,7 +918,7 @@ class RNIC:
         payload = message.payload
         kind = payload["kind"]
         if kind == "req":
-            if self._rx_backlog == 0 and not self.control_busy:
+            if self._rx_backlog == 0 and self.sim.now >= self._control_busy_until:
                 # Idle, uncontended pipeline: execute in place.
                 self.rx_bytes += message.size_bytes
                 self.rx_msgs += 1
@@ -983,7 +978,10 @@ class RNIC:
         ):
             return  # stray packet for a different connection epoch
 
-        conn = self._conn_state.setdefault((src_node, payload["src_qpn"]), _ConnState())
+        conn_key = (src_node, payload["src_qpn"])
+        conn = self._conn_state.get(conn_key)
+        if conn is None:
+            conn = self._conn_state[conn_key] = _ConnState()
         ssn = payload["ssn"]
         if ssn < conn.expected_ssn:
             reply = conn.replies.get(ssn)
@@ -1008,18 +1006,21 @@ class RNIC:
 
     def _reply(self, dst: str, reply: dict) -> None:
         size = reply.pop("_size", ACK_BYTES)
-        done = self.node.port.transmit(size)
+        self.node.port.transmit_deferred(size, self._reply_sent, dst, size, reply)
 
-        def on_done(_event) -> None:
-            self.tx_bytes += size
-            self.tx_msgs += 1
-            self._send_raw(dst, size, reply)
-
-        done.add_callback(on_done)
+    def _reply_sent(self, dst: str, size: int, reply: dict) -> None:
+        """The reply left the wire: book it and hand it to the switch."""
+        self.tx_bytes += size
+        self.tx_msgs += 1
+        node = self.node
+        node.network.transmit_raw(node.name, dst, size, RDMA_PROTOCOL, reply)
 
     def _execute_request(self, qp: QP, src_node: str, payload: dict) -> Optional[dict]:
         """Execute a validated in-order request; return the reply payload."""
-        opcode = Opcode(payload["opcode"])
+        try:
+            opcode = OPCODE_BY_VALUE[payload["opcode"]]
+        except KeyError:
+            opcode = Opcode(payload["opcode"])  # raises ValueError naming it
         ssn = payload["ssn"]
         ack = {"kind": "ack", "dst_qpn": payload["src_qpn"], "ssn": ssn}
         if opcode.is_two_sided:
@@ -1243,31 +1244,32 @@ class RNIC:
         wr = qp.sq_inflight.get(ssn)
         if wr is None:
             return
-        acked = getattr(qp, "_acked", None)
-        if acked is None:
-            acked = qp._acked = {}
+        acked = qp._acked
         acked[ssn] = (wr, status, byte_len)
         next_ssn = qp.sq_completed
         while next_ssn in acked:
             wr, st, blen = acked.pop(next_ssn)
             qp.sq_inflight.pop(next_ssn, None)
-            qp.retry_counts.pop(next_ssn, None)
-            qp.rnr_retries.pop(next_ssn, None)
+            if qp.retry_counts:
+                qp.retry_counts.pop(next_ssn, None)
+            if qp.rnr_retries:
+                qp.rnr_retries.pop(next_ssn, None)
             self._cancel_retransmit(qp, next_ssn)
             self._complete_send(qp, wr, next_ssn, st, byte_len=blen)
             next_ssn = qp.sq_completed
 
-    def _release_rd_slot(self, qp: QP, wr: SendWR) -> None:
-        if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
-            qp.outstanding_rd_atomic = max(0, qp.outstanding_rd_atomic - 1)
-            waiter = getattr(qp, "_rd_slot_waiter", None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed()
-                qp._rd_slot_waiter = None
+    def _release_rd_slot(self, qp: QP) -> None:
+        """A READ/ATOMIC completed: free its initiator-depth slot."""
+        qp.outstanding_rd_atomic = max(0, qp.outstanding_rd_atomic - 1)
+        waiter = qp._rd_slot_waiter
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed()
+            qp._rd_slot_waiter = None
 
     def _complete_send(self, qp: QP, wr: SendWR, ssn: int, status: WCStatus,
                        byte_len: int = 0, force: bool = False) -> None:
-        self._release_rd_slot(qp, wr)
+        if wr.opcode.needs_response_payload:  # READ or ATOMIC
+            self._release_rd_slot(qp)
         qp.sq_completed += 1
         if status is not WCStatus.SUCCESS and status is not WCStatus.WR_FLUSH_ERR:
             qp.force_error()

@@ -89,6 +89,11 @@ class QP:
         self.rto_entries: Dict[int, list] = {}
         self.retry_counts: Dict[int, int] = {}
         self.rnr_retries: Dict[int, int] = {}
+        #: acknowledged out of order, waiting for in-SSN-order completion:
+        #: ssn -> (wr, status, byte_len)
+        self._acked: Dict[int, tuple] = {}
+        #: the engine's event while it stalls on the max_rd_atomic limit
+        self._rd_slot_waiter = None
 
         self.destroyed = False
 

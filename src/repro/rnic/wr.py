@@ -59,7 +59,12 @@ class SendWR:
 
     @property
     def total_length(self) -> int:
-        return sum(sge.length for sge in self.sges)
+        # Recomputed per read (SGEs are edited on clones); a plain loop,
+        # because this runs twice per WR on the data path.
+        total = 0
+        for sge in self.sges:
+            total += sge.length
+        return total
 
     @property
     def wire_payload_bytes(self) -> int:
@@ -80,7 +85,10 @@ class RecvWR:
 
     @property
     def total_length(self) -> int:
-        return sum(sge.length for sge in self.sges)
+        total = 0
+        for sge in self.sges:
+            total += sge.length
+        return total
 
 
 def clone_send_wr(wr: SendWR) -> SendWR:

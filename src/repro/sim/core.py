@@ -38,9 +38,10 @@ wall-clock optimisations that do not change simulated-time semantics:
   arguments instead of allocating closures.
 - ``Simulator.events_processed`` counts every executed entry; the
   ``benchmarks/test_simperf.py`` harness divides it by wall-clock time to
-  track the kernel's events/sec across PRs.  ``credit_events`` lets the
-  RNIC flow-aggregation fast path keep that count (and the run digests
-  built on it) bit-identical when it elides per-packet plumbing events.
+  track the kernel's events/sec across PRs.  ``credit_events`` keeps that
+  count (and the run digests built on it) bit-identical wherever a
+  dispatch is elided exactly: the RNIC flow-aggregation fast path and
+  every listener-less :class:`~repro.fabric.port.Port` completion.
 - ``Simulator.tracer`` (normally ``None``) hooks the run loops into the
   :mod:`repro.obs` tracing subsystem: with a tracer attached the kernel
   emits wall-clock dispatch-batch spans and counter samples.  The hook is
@@ -202,19 +203,20 @@ class Timeout(Event):
     def _process_callbacks(self) -> None:
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
-        if len(callbacks) == 1:
-            callback = callbacks[0]
-            callback(self)
-            # Recycle iff the only consumer was a process yield: nobody else
-            # holds a reference that could observe the reused object.
-            if (not self.callbacks and callback.__class__ is MethodType
-                    and callback.__func__ is Process._on_event):
-                pool = self.sim._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_MAX:
-                    pool.append(self)
+        try:
+            callback, = callbacks
+        except ValueError:  # zero or several consumers: never recycled
+            for callback in callbacks:
+                callback(self)
             return
-        for callback in callbacks:
-            callback(self)
+        callback(self)
+        # Recycle iff the only consumer was a process yield: nobody else
+        # holds a reference that could observe the reused object.
+        if (not self.callbacks and callback.__class__ is MethodType
+                and callback.__func__ is Process._on_event):
+            pool = self.sim._timeout_pool
+            if len(pool) < _TIMEOUT_POOL_MAX:
+                pool.append(self)
 
 
 class Process(Event):
@@ -275,11 +277,13 @@ class Process(Event):
                 self.sim.failed_processes.append((self.name, error))
                 self.fail(error)
                 return
-            if not isinstance(target, Event):
+            try:
+                processed = target._processed
+            except AttributeError:  # not an Event
                 generator.close()
                 self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
                 return
-            if not target._processed:
+            if not processed:
                 self._waiting_on = target
                 target.callbacks.append(self._on_event)
                 return
@@ -380,8 +384,8 @@ class Simulator:
         self.events_processed = 0
         #: entries descheduled via :meth:`cancel` / :meth:`Timeout.cancel`.
         self.events_cancelled = 0
-        #: events the flow-aggregation fast path elided but accounted for
-        #: via :meth:`credit_events` (already included in events_processed).
+        #: dispatches elided exactly and accounted for via
+        #: :meth:`credit_events` (already included in events_processed).
         self.events_credited = 0
         #: (name, exception) of processes that died with an unhandled error —
         #: useful for debugging background processes nobody awaits.
@@ -453,12 +457,17 @@ class Simulator:
         return False
 
     def credit_events(self, processed: int = 0, cancelled: int = 0) -> None:
-        """Account for events a fast path elided without dispatching.
+        """Account for events elided without dispatching.
 
-        The flow-aggregation layer collapses per-packet plumbing events
-        but must keep ``events_processed`` (which feeds run digests and
-        the events/sec benchmarks) exactly what the packet-level model
-        would have produced.
+        ``events_credited`` covers every exactly-elided dispatch, not only
+        the express lane's: the flow-aggregation layer collapses per-packet
+        plumbing events, and a :class:`~repro.fabric.port.Port` completion
+        nobody listens to is credited instead of being pushed, popped and
+        run.  Either way ``events_processed`` (which feeds run digests and
+        the events/sec benchmarks) stays exactly what dispatching them
+        would have produced.  A credit lands when the elided entry would
+        have been *scheduled*, so the count runs ahead of the dispatching
+        kernel only inside one instant (DESIGN.md §12.4).
         """
         self.events_processed += processed
         self.events_credited += processed
@@ -518,9 +527,9 @@ class Simulator:
                 entry[2] = None
                 self.now = entry[0]
                 self.events_processed += 1
-                callback(*entry[3])
                 if tracing:
                     tracer._kernel_tick(self, callback)
+                callback(*entry[3])
             return self.now
         while heap:
             if heap[0][0] > until:
@@ -533,9 +542,9 @@ class Simulator:
             entry[2] = None
             self.now = entry[0]
             self.events_processed += 1
-            callback(*entry[3])
             if tracing:
                 tracer._kernel_tick(self, callback)
+            callback(*entry[3])
         self.now = until
         return self.now
 
@@ -563,7 +572,7 @@ class Simulator:
             entry[2] = None
             self.now = entry[0]
             self.events_processed += 1
-            callback(*entry[3])
             if tracing:
                 tracer._kernel_tick(self, callback)
+            callback(*entry[3])
         return process.value

@@ -1,9 +1,11 @@
 """Unit tests for the fabric: ports, network delivery, loss, TCP channel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
-from repro.fabric import Message, Network, TcpChannel
+from repro.fabric import Message, Network, Port, TcpChannel
 from repro.sim import Simulator
 
 
@@ -29,8 +31,8 @@ class TestPort:
     def test_transmissions_serialize(self, sim, net):
         port = net.node("a").port
         done = []
-        port.transmit(12500, lambda: done.append(sim.now))
-        port.transmit(12500, lambda: done.append(sim.now))
+        port.transmit_cb(12500, lambda: done.append(sim.now))
+        port.transmit_cb(12500, lambda: done.append(sim.now))
         sim.run()
         assert done == [pytest.approx(1e-6), pytest.approx(2e-6)]
 
@@ -42,10 +44,86 @@ class TestPort:
         assert port.bytes_sent == 3000
 
     def test_bad_rate_rejected(self, sim):
-        from repro.fabric import Port
-
         with pytest.raises(ValueError):
             Port(sim, 0)
+
+
+def _run_port_script(form, script):
+    """Drive one toy port with ``script`` = [(gap_us, size_bytes), ...]:
+    transmission ``i`` arrives ``gap_us`` after the previous one and
+    completes through ``form`` (event, cb or deferred).  Around every
+    transmit call two unrelated markers are scheduled for the instant an
+    idle port would finish it, so wire-dones collide with foreign entries.
+    Returns (log, events_processed, events_credited)."""
+    sim = Simulator()
+    port = Port(sim, rate_bps=8e9)  # 1000 B = 1 us
+    log = []
+
+    def done(i):
+        log.append(("done", i, sim.now))
+
+    def marker(tag):
+        log.append(("marker", tag, sim.now))
+
+    def arrive(i, size):
+        idle_finish = size * 8.0 / port.rate_bps
+        sim.schedule(idle_finish, marker, (i, "before"))
+        if form == "event":
+            port.transmit(size).add_callback(lambda _event: done(i))
+        elif form == "cb":
+            port.transmit_cb(size, done, i)
+        else:
+            port.transmit_deferred(size, done, i)
+        sim.schedule(idle_finish, marker, (i, "after"))
+
+    at = 0.0
+    for i, (gap_us, size) in enumerate(script):
+        at += gap_us * 1e-6
+        sim.schedule(at, arrive, i, size)
+    sim.run()
+    return log, sim.events_processed, sim.events_credited
+
+
+class TestPortCompletionForms:
+    """Event, callback-only and deferred-callback completions are one
+    port model: same wire-done instants, same order of everything else
+    scheduled for those instants, same ``events_processed``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.sampled_from([0, 1000, 2000, 2500])),
+                    min_size=1, max_size=8))
+    def test_three_forms_agree(self, script):
+        event_log, event_processed, event_credited = _run_port_script("event", script)
+        cb_log, cb_processed, cb_credited = _run_port_script("cb", script)
+        deferred_log, deferred_processed, deferred_credited = \
+            _run_port_script("deferred", script)
+
+        def dones(log):
+            return sorted(entry[1:] for entry in log if entry[0] == "done")
+
+        def markers(log):
+            return [entry for entry in log if entry[0] == "marker"]
+
+        # The deferred callback sits in exactly the event's heap slot.
+        assert deferred_log == event_log
+        # Callback-only runs inside the finish event, one slot earlier:
+        # same instants, and nothing unrelated changes place.
+        assert dones(cb_log) == dones(event_log)
+        assert markers(cb_log) == markers(event_log)
+        assert len(dones(event_log)) == len(script)
+        assert event_processed == cb_processed == deferred_processed
+        # Only the listener-less wire-done is elided, and it is credited.
+        assert (event_credited, cb_credited, deferred_credited) == (0, len(script), 0)
+
+    def test_occupy_until_holds_the_port(self, sim):
+        port = Port(sim, rate_bps=8e9)
+        log = []
+        port.occupy_until(3e-6, log.append, "ack")
+        port.transmit_cb(1000, lambda: log.append(sim.now))
+        sim.run()
+        assert log == ["ack", pytest.approx(4e-6)]
+        assert port.bytes_sent == 1000
 
 
 class TestNetwork:
@@ -60,6 +138,16 @@ class TestNetwork:
     def test_unknown_destination_rejected(self, sim, net):
         with pytest.raises(LookupError):
             net.node("a").send(Message("a", "nowhere", "test", 10))
+
+    @pytest.mark.parametrize("src, dst", [("a", "nowhere"), ("nowhere", "b")])
+    def test_transmit_raw_rejects_unknown_node(self, sim, net, src, dst):
+        """The RNIC's raw injection validates both ends before it counts or
+        propagates anything."""
+        with pytest.raises(LookupError, match="unknown node 'nowhere'"):
+            net.transmit_raw(src, dst, 64, "test", None)
+        assert net.messages_sent == 0
+        sim.run()
+        assert sim.events_processed == 0
 
     def test_wrong_src_rejected(self, sim, net):
         with pytest.raises(ValueError):

@@ -149,6 +149,39 @@ def test_kernel_lane_samples_dispatch_batches():
     assert counters and counters[-1][4]["events"] <= sim.events_processed
 
 
+def test_event_census_counts_dispatches_by_family():
+    from repro.fabric import Port
+    from repro.obs import census_summary
+
+    sim = Simulator()
+    assert Tracer(sim).census is None  # off unless asked for
+    tracer = Tracer(sim, census=True).attach()
+    port = Port(sim, rate_bps=8e9)
+
+    def worker():
+        for _ in range(3):
+            yield sim.timeout(1e-6)
+        yield port.transmit(1000)
+
+    sim.spawn(worker(), name="worker:0x2a:7")
+    port.transmit_cb(1000, lambda: None)
+    port.transmit(1000)  # event form, returned event dropped
+    sim.event().succeed()
+    sim.run()
+
+    census = tracer.census
+    assert sum(census.values()) == sim.events_processed - sim.events_credited
+    assert census["Port._finish"] == 3
+    assert census["timeout -> process worker:#:#"] == 3
+    assert census["event -> process worker:#:#"] == 1
+    # the dropped wire-done, the bare event, and the worker's own completion
+    assert census["event with no listener"] == 3
+    assert census["Process._start"] == 1
+    assert sim.events_credited == 1
+    report = census_summary(tracer)
+    assert "event with no listener" in report and "(+1 credited" in report
+
+
 # ---------------------------------------------------------------------------
 # Chrome trace export
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from repro.rnic import (
     SendWR,
     WCStatus,
 )
-from repro.rnic.mr import KeyAllocator
+from repro.mem import AddressSpace
+from repro.rnic.errors import AccessError
+from repro.rnic.mr import MR, PD, KeyAllocator, MemoryWindow
 from repro.verbs.api import make_sge
 
 from tests.helpers import build_pair, create_connected_qps, make_endpoint, poll_until, setup_endpoint
@@ -139,6 +141,82 @@ class TestMemoryRegions:
 
         wcs = tb.run(driver())
         assert wcs[0].status is WCStatus.REM_ACCESS_ERR
+
+
+class TestAccessCheckMessages:
+    """The per-WR checks run on precomputed int bits; what they reject, and
+    the text they reject it with, is the contract."""
+
+    ADDR, LENGTH = 0x10000, 8192
+
+    def _mr(self, access):
+        space = AddressSpace("t")
+        space.mmap(self.LENGTH, addr=self.ADDR)
+        return MR(PD("nic"), space, self.ADDR, self.LENGTH, access, lkey=0x100, rkey=0x200)
+
+    def test_end_is_fixed_at_registration(self):
+        mr = self._mr(AccessFlags.all_remote())
+        assert mr.end == self.ADDR + self.LENGTH
+        assert mr.covers(self.ADDR, self.LENGTH) and not mr.covers(self.ADDR, self.LENGTH + 1)
+
+    def test_in_range_permitted_accesses_pass(self):
+        mr = self._mr(AccessFlags.all_remote())
+        mr.check_local(self.ADDR, self.LENGTH, write=True)
+        for op in ("read", "write", "atomic"):
+            mr.check_remote(self.ADDR + 8, 8, op)
+        self._mr(AccessFlags.NONE).check_local(self.ADDR, 8, write=False)
+
+    def test_invalidated(self):
+        mr = self._mr(AccessFlags.all_remote())
+        mr.invalidated = True
+        with pytest.raises(AccessError, match="^access through a deregistered MR$"):
+            mr.check_local(self.ADDR, 8, write=False)
+        with pytest.raises(AccessError, match="^remote access through a deregistered MR$"):
+            mr.check_remote(self.ADDR, 8, "read")
+
+    @pytest.mark.parametrize("addr, length", [
+        (0x10000 - 1, 8), (0x10000 + 8192 - 7, 8), (0x10000, 8193)])
+    def test_out_of_range(self, addr, length):
+        mr = self._mr(AccessFlags.all_remote())
+        span = (f"[{addr:#x}, {addr + length:#x}) outside MR "
+                f"[{self.ADDR:#x}, {self.ADDR + self.LENGTH:#x})")
+        with pytest.raises(AccessError) as local:
+            mr.check_local(addr, length, write=False)
+        assert str(local.value) == f"local access {span}"
+        with pytest.raises(AccessError) as remote:
+            mr.check_remote(addr, length, "write")
+        assert str(remote.value) == f"remote access {span}"
+
+    def test_missing_permission(self):
+        mr = self._mr(AccessFlags.REMOTE_READ)
+        with pytest.raises(AccessError) as local:
+            mr.check_local(self.ADDR, 8, write=True)
+        assert str(local.value) == "local write without LOCAL_WRITE permission"
+        mr.check_remote(self.ADDR, 8, "read")
+        for op, flag in (("write", AccessFlags.REMOTE_WRITE),
+                         ("atomic", AccessFlags.REMOTE_ATOMIC)):
+            with pytest.raises(AccessError) as remote:
+                mr.check_remote(self.ADDR, 8, op)
+            assert str(remote.value) == f"remote {op} without {flag} permission"
+        with pytest.raises(KeyError):
+            mr.check_remote(self.ADDR, 8, "scribble")
+
+    def test_memory_window(self):
+        mr = self._mr(AccessFlags.all_remote())
+        window = MemoryWindow(mr.pd, handle=1)
+        with pytest.raises(AccessError, match="^access through an unbound memory window$"):
+            window.check_remote(self.ADDR, 8, "read")
+        window.bind(mr, self.ADDR + 4096, 1024, AccessFlags.REMOTE_WRITE, rkey=0x300)
+        window.check_remote(self.ADDR + 4096, 1024, "write")
+        with pytest.raises(AccessError, match="^remote access outside the memory window$"):
+            window.check_remote(self.ADDR + 4096, 1025, "write")
+        with pytest.raises(AccessError) as denied:
+            window.check_remote(self.ADDR + 4096, 8, "read")
+        assert str(denied.value) == (
+            f"remote read without {AccessFlags.REMOTE_READ} window permission")
+        window.invalidated = True
+        with pytest.raises(AccessError, match="^access through an unbound memory window$"):
+            window.check_remote(self.ADDR + 4096, 8, "write")
 
 
 class TestMemoryWindows:

@@ -45,6 +45,22 @@ class TestWrValidation:
         assert wr.wire_payload_bytes == 0
         assert wr.total_length == 4096
 
+    def test_total_length_tracks_sge_edits(self):
+        """Nothing is cached at construction: the guest lib rewrites SGEs
+        on clones, and replay re-posts edited WRs."""
+        wr = SendWR(wr_id=1, opcode=Opcode.SEND, sges=[SGE(0x1000, 64, 7)])
+        assert wr.total_length == 64
+        wr.sges[0].length = 100
+        wr.sges.append(SGE(0x2000, 28, 7))
+        assert wr.total_length == wr.wire_payload_bytes == 128
+        copy = clone_send_wr(wr)
+        copy.sges[1].length = 0
+        assert (copy.total_length, wr.total_length) == (100, 128)
+        recv = RecvWR(wr_id=2, sges=[SGE(0x1000, 64, 7)])
+        recv.sges.append(SGE(0x3000, 36, 7))
+        assert recv.total_length == 100
+        assert SendWR(wr_id=3, opcode=Opcode.SEND).total_length == 0
+
     def test_clone_send_wr_is_deep_for_sges(self):
         wr = SendWR(wr_id=1, opcode=Opcode.SEND, sges=[SGE(0x1000, 64, 7)])
         copy = clone_send_wr(wr)

@@ -119,7 +119,7 @@ class TestPortContention:
         port = Port(sim, rate_bps=100e9)
         port.contention_factor = lambda: 1.25
         done_at = []
-        port.transmit(12500, lambda: done_at.append(sim.now))
+        port.transmit_cb(12500, lambda: done_at.append(sim.now))
         sim.run()
         assert done_at == [pytest.approx(1.25e-6)]
 
