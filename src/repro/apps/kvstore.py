@@ -38,10 +38,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.apps.perftest import IDLE_POLL_S, POLL_BATCH, Connection, PerftestStats
+from repro.apps.perftest import Connection, PerftestStats
+from repro.apps.pollloop import IDLE_POLL_S, BusyPoller
 from repro.cluster import Container, Server
 from repro.rnic import AccessFlags, Opcode, QPType, RecvWR, SendWR
-from repro.sim import Interrupt
 from repro.verbs import DirectVerbs
 from repro.verbs.api import make_sge
 
@@ -122,12 +122,17 @@ class KvTableLayout:
         home buckets: independent of where the value actually landed)."""
         return self.slot_offset(self.home(key))
 
+    def probe(self, fp: int, pos: int) -> Tuple[int, int, int]:
+        """``(bucket, offset, length)`` of a GET's ``pos``-th READ, O(1)."""
+        bucket = (fp + pos) % self.n_buckets
+        return bucket, bucket * self.slot_bytes, self.slot_bytes
+
     def read_plan(self, key: str) -> List[Tuple[int, int, int]]:
         """The client's remote-READ schedule for a GET: ``(bucket, offset,
         length)`` per probe, in order.  The client stops at the first
         fingerprint hit or FP_EMPTY slot."""
-        return [(i, self.slot_offset(i), self.slot_bytes)
-                for i in self.probe_sequence(key)]
+        fp = self.fingerprint(key)
+        return [self.probe(fp, pos) for pos in range(self.n_buckets)]
 
     def pack_slot(self, lock: int, fp: int, vlen: int, version: int) -> bytes:
         return _HEADER.pack(lock, fp, vlen, version)
@@ -403,7 +408,7 @@ def check_kv_history(clients, server) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-class KvServer:
+class KvServer(BusyPoller):
     """The KV server process: owns the table MR, applies PUTs, acks."""
 
     def __init__(self, server: Server, name: Optional[str] = None,
@@ -524,28 +529,13 @@ class KvServer:
         self.process.attach(self.server.sim.spawn(
             self._server_loop(), name=f"{self.name}:srv"))
 
-    def stop(self) -> None:
-        self.running = False
-
     def _server_loop(self):
-        sim = self.server.sim
-        try:
-            while self.running:
+        def tick():
+            if self.running:
+                # drained to empty; the replies just posted complete by a push
                 drained = self._drain_completions()
-                cpu_s = self.process.cpu.drain_seconds()
-                yield sim.timeout(max(cpu_s, IDLE_POLL_S if not drained else IDLE_POLL_S / 2))
-        except Interrupt:
-            return
-
-    def _drain_completions(self) -> int:
-        drained = 0
-        while True:
-            wcs = self.lib.poll_cq(self.cq, POLL_BATCH)
-            if not wcs:
-                return drained
-            drained += len(wcs)
-            for wc in wcs:
-                self._handle_wc(wc)
+                return (IDLE_POLL_S / 2 if drained else IDLE_POLL_S), IDLE_POLL_S
+        return self._poll_loop(tick)
 
     def _handle_wc(self, wc) -> None:
         conn = self._by_qpn.get(wc.qp_num)
@@ -665,6 +655,7 @@ class _KvOp:
     key: str
     slot: int
     t_invoke: float
+    fp: int = 0  # KvTableLayout.fingerprint(key), computed once per op
     # get state
     plan_pos: int = 0
     # cas state
@@ -674,7 +665,7 @@ class _KvOp:
     put_value: bytes = b""
 
 
-class KvClient:
+class KvClient(BusyPoller):
     """Closed-loop KV client: ``depth`` operations in flight, op mix and
     key choice drawn from a seeded RNG (deterministic across runs)."""
 
@@ -779,24 +770,22 @@ class KvClient:
         self.process.attach(self.server.sim.spawn(
             self._client_loop(), name=f"{self.name}:ops"))
 
-    def stop(self) -> None:
-        self.running = False
-
     def _client_loop(self):
-        sim = self.server.sim
-        try:
-            while self.running:
-                drained = self._drain_completions()
-                self._issue_ops()
-                if self._iters_left == 0 and not self._ops:
-                    self.running = False
-                    break
-                cpu_s = self.process.cpu.drain_seconds()
-                floor = self.pace_s if self.pace_s else (
-                    IDLE_POLL_S / 2 if drained else IDLE_POLL_S)
-                yield sim.timeout(max(cpu_s, floor))
-        except Interrupt:
-            return
+        return self._poll_loop(self._client_tick)
+
+    def _client_tick(self):
+        if not self.running:
+            return None
+        drained = self._drain_completions()
+        self._issue_ops()
+        if self._iters_left == 0 and not self._ops:
+            self.running = False
+            return None
+        if self.pace_s:
+            return self.pace_s, None  # a paced tick may issue: never idle
+        # drained to empty; with the window full the next ticks cannot issue either
+        return ((IDLE_POLL_S / 2 if drained else IDLE_POLL_S),
+                IDLE_POLL_S if len(self._ops) >= self.depth else None)
 
     def _issue_ops(self) -> None:
         while len(self._ops) < self.depth and self._free_slots:
@@ -814,7 +803,7 @@ class KvClient:
         key = self.rng.choice(self.keyspace)
         slot = self._free_slots.pop()
         op = _KvOp(op_id=next(self._op_ids), kind="", key=key, slot=slot,
-                   t_invoke=self.server.sim.now)
+                   t_invoke=self.server.sim.now, fp=self.layout.fingerprint(key))
         self._ops[op.op_id] = op
         if r < put_w:
             op.kind = "put"
@@ -852,8 +841,7 @@ class KvClient:
             sges=[make_sge(self.mr, addr - self.buf_addr, len(payload))]))
 
     def _issue_get_probe(self, op: _KvOp) -> None:
-        plan = self.layout.read_plan(op.key)
-        bucket, offset, length = plan[op.plan_pos]
+        _bucket, offset, length = self.layout.probe(op.fp, op.plan_pos)
         self._post(SendWR(
             wr_id=0, opcode=Opcode.RDMA_READ,
             sges=[make_sge(self.mr, self._read_off(op.slot), length)],
@@ -880,16 +868,6 @@ class KvClient:
             self._post_reply_recv()
 
     # -- completion handling --------------------------------------------------
-
-    def _drain_completions(self) -> int:
-        drained = 0
-        while True:
-            wcs = self.lib.poll_cq(self.cq, POLL_BATCH)
-            if not wcs:
-                return drained
-            drained += len(wcs)
-            for wc in wcs:
-                self._handle_wc(wc)
 
     def _handle_wc(self, wc) -> None:
         conn = self.conn
@@ -931,9 +909,8 @@ class KvClient:
         raw = self.process.space.read(self.buf_addr + self._read_off(op.slot),
                                       self.layout.slot_bytes)
         _lock, fp, _vlen, version, value = self.layout.parse_slot(raw)
-        key_fp = self.layout.fingerprint(op.key)
         now = self.server.sim.now
-        if fp == key_fp:
+        if fp == op.fp:
             expected = make_value(op.key, version, len(value))
             if value != expected:
                 self.stats.content_errors.append(
@@ -1033,22 +1010,25 @@ class KvClient:
         """Generator: one synchronous GET (drives its own polling).  Used
         by the freshness-after-migration contract check; traffic loops
         must be stopped."""
-        sim = self.server.sim
-        done: List[Tuple[int, bytes]] = []
-        for bucket, offset, length in self.layout.read_plan(key):
+        key_fp = self.layout.fingerprint(key)
+        for pos in range(self.layout.n_buckets):
+            _bucket, offset, length = self.layout.probe(key_fp, pos)
             wr_id = self.conn.next_seq
             self._post(SendWR(
                 wr_id=0, opcode=Opcode.RDMA_READ,
                 sges=[make_sge(self.mr, self._read_off(0), length)],
                 remote_addr=self.remote_table_addr + offset,
                 rkey=self.remote_table_rkey))
-            while self.conn.expect_send_seq <= wr_id:
-                self._drain_completions()
-                yield sim.timeout(self.process.cpu.drain_seconds() or IDLE_POLL_S / 4)
+
+            def tick(wr_id=wr_id):
+                if self.conn.expect_send_seq <= wr_id:
+                    self._drain_completions()
+                    return 0.0, None  # sleep exactly the poll's CPU time
+            yield from self._poll_loop(tick, quiet=False)
             raw = self.process.space.read(
                 self.buf_addr + self._read_off(0), self.layout.slot_bytes)
             _lock, fp, _vlen, version, value = self.layout.parse_slot(raw)
-            if fp == self.layout.fingerprint(key):
+            if fp == key_fp:
                 return value, version
             if fp == FP_EMPTY:
                 return None

@@ -23,19 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.apps.pollloop import IDLE_POLL_S, POLL_BATCH, BusyPoller
 from repro.cluster import Container, Server
 from repro.rnic import AccessFlags, Opcode, QPType, RecvWR, SendWR
-from repro.sim import Interrupt
 from repro.verbs import DirectVerbs
 from repro.verbs.api import make_sge
 
 _endpoint_ids = itertools.count(1)
-
-#: completions drained per poll call (perftest uses batched polling)
-POLL_BATCH = 16
-
-#: idle backoff when the wire is quiet (busy-poll granularity)
-IDLE_POLL_S = 1e-6
 
 _MODE_OPCODE = {
     "write": Opcode.RDMA_WRITE,
@@ -84,7 +78,7 @@ class PerftestStats:
         return not (self.order_errors or self.content_errors or self.status_errors)
 
 
-class PerftestEndpoint:
+class PerftestEndpoint(BusyPoller):
     """One perftest process inside a container."""
 
     def __init__(self, server: Server, name: Optional[str] = None,
@@ -207,10 +201,6 @@ class PerftestEndpoint:
         self.process.attach(self.server.sim.spawn(
             self._receiver_loop(), name=f"{self.name}:rx"))
 
-    def stop(self) -> None:
-        """Ask the traffic loops to wind down at their next wakeup."""
-        self.running = False
-
     # -- sender -------------------------------------------------------------
 
     def _build_wr(self, index: int, conn: Connection) -> SendWR:
@@ -245,13 +235,7 @@ class PerftestEndpoint:
                 if self._iters_left <= 0:
                     return posted
                 self._iters_left -= 1
-            if self.process.cpu.record_samples:
-                self.process.cpu.begin_op_sample(self.mode)
-            self.lib.post_send(conn.qp, self._build_wr(conn.index, conn))
-            if self.process.cpu.record_samples:
-                self.process.cpu.end_op_sample()
-            conn.next_seq += 1
-            conn.outstanding += 1
+            self._post_one(conn)
             posted += 1
         return posted
 
@@ -272,70 +256,60 @@ class PerftestEndpoint:
         batch = min(self.depth, POLL_BATCH) / 2
         return min(max(batch * self.msg_size * 8 / rate, 0.5e-6), 50e-6)
 
+    def _post_one(self, conn: Connection) -> None:
+        if self.process.cpu.record_samples:
+            self.process.cpu.begin_op_sample(self.mode)
+        self.lib.post_send(conn.qp, self._build_wr(conn.index, conn))
+        if self.process.cpu.record_samples:
+            self.process.cpu.end_op_sample()
+        conn.next_seq += 1
+        conn.outstanding += 1
+
+    def _finished(self) -> bool:
+        """Stop the (running) loops once every requested iteration has been
+        posted and completed; tells whether they are stopped."""
+        if self._iters_left == 0 and not any(c.outstanding for c in self.connections):
+            self.running = False
+        return not self.running
+
     def _sender_loop(self):
         if self.pace_s:
-            yield from self._paced_sender_loop()
-            return
-        sim = self.server.sim
+            return self._poll_loop(self._paced_sender_tick)
         poll_sleep = self._poll_sleep_s()
-        self._refill()  # initial window; afterwards refill is per-completion
-        try:
-            while self.running:
-                drained = self._drain_completions()
-                cpu_s = self.process.cpu.drain_seconds()
-                if drained:
-                    yield sim.timeout(max(cpu_s, poll_sleep))
-                else:
-                    if self._iters_left == 0 and not any(
-                            c.outstanding for c in self.connections):
-                        self.running = False
-                        break
-                    self._refill()  # e.g. after resuming from suspension
-                    yield sim.timeout(max(cpu_s, poll_sleep, IDLE_POLL_S))
-        except Interrupt:
-            return
+        idle_s = max(poll_sleep, IDLE_POLL_S)
 
-    def _paced_sender_loop(self):
+        def tick():
+            if not self.running:
+                return None
+            if self._drain_completions():
+                return poll_sleep, None
+            if self._finished():
+                self.process.cpu.drain_seconds()  # this tick's poll is spent
+                return None
+            return idle_s, idle_s
+        # _refill: the initial window, then per completion and on an idle tick
+        # (e.g. after resuming from suspension)
+        return self._poll_loop(tick, refill=self._refill)
+
+    def _paced_sender_tick(self):
         """Rate-limited posting: at most one WR per QP per ``pace_s`` tick,
         still bounded by ``depth`` outstanding.  Suspension/migration work
         unchanged — posts during suspension are buffered by the guest lib
         and replayed, and ``on_migrated``/``on_rollback`` respawn the loop."""
-        sim = self.server.sim
-        try:
-            while self.running:
-                self._drain_completions()
-                for conn in self.connections:
-                    if conn.outstanding >= self.depth:
-                        continue
-                    if self._iters_left is not None:
-                        if self._iters_left <= 0:
-                            continue
-                        self._iters_left -= 1
-                    if self.process.cpu.record_samples:
-                        self.process.cpu.begin_op_sample(self.mode)
-                    self.lib.post_send(conn.qp, self._build_wr(conn.index, conn))
-                    if self.process.cpu.record_samples:
-                        self.process.cpu.end_op_sample()
-                    conn.next_seq += 1
-                    conn.outstanding += 1
-                if self._iters_left == 0 and not any(
-                        c.outstanding for c in self.connections):
-                    self.running = False
-                    break
-                cpu_s = self.process.cpu.drain_seconds()
-                yield sim.timeout(max(cpu_s, self.pace_s))
-        except Interrupt:
-            return
-
-    def _drain_completions(self) -> int:
-        drained = 0
-        while True:
-            wcs = self.lib.poll_cq(self.cq, POLL_BATCH)
-            if not wcs:
-                return drained
-            drained += len(wcs)
-            for wc in wcs:
-                self._handle_wc(wc)
+        if not self.running:
+            return None
+        self._drain_completions()
+        for conn in self.connections:
+            if conn.outstanding >= self.depth:
+                continue
+            if self._iters_left is not None:
+                if self._iters_left <= 0:
+                    continue
+                self._iters_left -= 1
+            self._post_one(conn)
+        if self._finished():
+            return None
+        return self.pace_s, None
 
     def _handle_wc(self, wc) -> None:
         conn = self._by_qpn.get(wc.qp_num)
@@ -381,15 +355,14 @@ class PerftestEndpoint:
             conn.outstanding += 1
 
     def _receiver_loop(self):
-        sim = self.server.sim
         poll_sleep = self._poll_sleep_s()
-        try:
-            while self.running:
+
+        def tick():
+            if self.running:
+                # drained to empty, and reposted RECVs raise no CQE until a push
                 drained = self._drain_completions()
-                cpu_s = self.process.cpu.drain_seconds()
-                yield sim.timeout(max(cpu_s, poll_sleep if drained else IDLE_POLL_S))
-        except Interrupt:
-            return
+                return (poll_sleep if drained else IDLE_POLL_S), IDLE_POLL_S
+        return self._poll_loop(tick)
 
     def _handle_recv_wc(self, conn, wc) -> None:
         index = conn.index

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.rnic.constants import Opcode, WCStatus
 from repro.rnic.errors import CQError
@@ -85,6 +85,9 @@ class CQ:
         self._armed = False
         self.destroyed = False
         self.total_completions = 0
+        #: ``wake(tick_first)`` of the one poll loop parked here (DESIGN.md §12.5);
+        #: a CQE arrives 50 ns after it was raised, so a tick due now ran first
+        self.waiter: Optional[Callable[[bool], None]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -97,6 +100,8 @@ class CQ:
             raise CQError(f"CQ overflow (depth {self.depth})")
         self._entries.append(wc)
         self.total_completions += 1
+        if self.waiter is not None:
+            self.waiter(True)
         if self._armed and self.channel is not None:
             self._armed = False
             self.channel.notify(self)
@@ -119,3 +124,5 @@ class CQ:
     def destroy(self) -> None:
         self.destroyed = True
         self._entries.clear()
+        if self.waiter is not None:
+            self.waiter(False)  # its next poll must still raise CQError

@@ -107,10 +107,12 @@ def test_flow_aggregation_bit_identical(monkeypatch):
     byte/message counters.  The aggregated run must actually aggregate —
     otherwise this pins nothing.  ``events_credited`` counts every
     exactly-elided dispatch: on the packet path that is one per
-    callback-only port transmission (its listener-less wire-done), and
-    the lane's credits come on top."""
+    callback-only port transmission (its listener-less wire-done) plus
+    one per idle poll a parked loop replayed (DESIGN.md §12.5), and the
+    lane's credits come on top."""
     from repro.config import default_config
     from repro.fabric import Port
+    from repro.metrics.cycles import CpuContext
 
     cb_only_sims = []
     transmit_cb = Port.transmit_cb
@@ -119,10 +121,20 @@ def test_flow_aggregation_bit_identical(monkeypatch):
         cb_only_sims.append(port.sim)
         transmit_cb(port, *args)
 
+    idle_polls = [0]
+    replay_idle_polls = CpuContext.replay_idle_polls
+
+    def counting_replay(cpu, *args):
+        ticks, t_next = replay_idle_polls(cpu, *args)
+        idle_polls[0] += ticks
+        return ticks, t_next
+
     monkeypatch.setattr(Port, "transmit_cb", counting_transmit_cb)
+    monkeypatch.setattr(CpuContext, "replay_idle_polls", counting_replay)
     packet_config = default_config()
     packet_config.flow_aggregation = False
     flow, flow_scn = _full_observables()
+    idle_polls[0] = 0
     packet, packet_scn = _full_observables(packet_config)
     assert flow == packet
     assert flow["blackout_s"] == EXPECTED["blackout_s"]
@@ -132,6 +144,6 @@ def test_flow_aggregation_bit_identical(monkeypatch):
     assert expressed > 1000
     assert sum(s.rnic.flow_expressed for s in packet_scn.tb.servers) == 0
     packet_credited = packet_scn.tb.sim.events_credited
-    assert packet_credited == sum(
+    assert packet_credited - idle_polls[0] == sum(
         1 for sim in cb_only_sims if sim is packet_scn.tb.sim) > 0
     assert credited - packet_credited > 2 * 1000

@@ -53,6 +53,14 @@ class TestLayout:
             assert offset == layout.slot_offset(bucket)
             assert length == layout.slot_bytes
 
+    def test_probe_is_one_entry_of_the_read_plan(self):
+        """The client asks for one probe at a time (O(1), no 128-tuple plan
+        per READ); every position must be the plan's entry, wrap included."""
+        layout = KvTableLayout(n_buckets=8, value_cap=16)
+        for key in ("k", "key0007", "another"):
+            fp = layout.fingerprint(key)
+            assert [layout.probe(fp, pos) for pos in range(8)] == layout.read_plan(key)
+
 
 class TestTable:
     def test_put_get_delete(self):

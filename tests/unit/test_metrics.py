@@ -33,6 +33,58 @@ class TestCpuContext:
         cpu.charge_base("send")
         assert cpu.total_cycles == pytest.approx(cpu.config.base_cycles["send"])
 
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_charge_base_is_charge_of_the_base_cost(self, noise):
+        """charge_base carries its own copy of charge's arithmetic: same
+        jitter draw, same additions, inside an operation sample too."""
+        inlined, via_charge = make_cpu(noise, record=True), make_cpu(noise, record=True)
+        for cpu in (inlined, via_charge):
+            cpu.begin_op_sample("send")
+        for op in ("send", "poll", "poll", "recv", "send"):
+            inlined.charge_base(op)
+            via_charge.charge(op, via_charge.config.base_cycles[op])
+        for cpu in (inlined, via_charge):
+            cpu.end_op_sample()
+        assert vars(inlined).keys() == vars(via_charge).keys()
+        for name, value in vars(inlined).items():
+            if name not in ("_rng", "config"):
+                assert value == getattr(via_charge, name), name
+        assert inlined._rng.random() == via_charge._rng.random()
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("tick_first", [False, True])
+    def test_replay_idle_polls_is_the_tick_by_tick_sequence(self, noise, tick_first):
+        """n empty polls in one call == n times (charge_base, drain_seconds,
+        t += max(cost, floor)), up to a tick exactly at `now` by the tie rule."""
+        batched, stepped = make_cpu(noise), make_cpu(noise)
+        for cpu in (batched, stepped):
+            cpu.charge_base("poll")
+            cpu.drain_seconds()
+        floor_s, t0 = 1e-6, 5e-6
+        instants = [t0]
+        for _ in range(9):
+            instants.append(instants[-1] + floor_s)
+        now = instants[6]  # exactly on a tick
+        t, ticks = t0, 0
+        while t < now or (tick_first and t == now):
+            stepped.charge_base("poll")
+            t += max(stepped.drain_seconds(), floor_s)
+            ticks += 1
+        assert ticks == (7 if tick_first else 6)
+        assert batched.replay_idle_polls("poll", t0, now, tick_first, floor_s) == (ticks, t)
+        for name, value in vars(batched).items():
+            if name not in ("_rng", "config"):
+                assert value == getattr(stepped, name), name
+        assert batched._rng.random() == stepped._rng.random()
+
+    def test_a_charge_wakes_the_parked_loop_first(self):
+        cpu = make_cpu()
+        order = []
+        cpu.idle_waiter = lambda tick_first: order.append(("wake", tick_first, cpu.total_cycles))
+        cpu.charge("virt", 10)
+        cpu.charge_base("poll")
+        assert order == [("wake", False, 0.0), ("wake", False, 10.0)]
+
     def test_drain_converts_to_seconds(self):
         cpu = make_cpu()
         cpu.charge("x", cpu.config.clock_hz)  # exactly one second of cycles
