@@ -18,8 +18,9 @@ from typing import Dict, List, Optional
 
 from repro import cluster
 from repro.apps.perftest import PerftestEndpoint, connect_endpoints
+from repro.beds import PerftestBed
 from repro.config import Config, default_config
-from repro.core import LiveMigration, MigrRdmaWorld
+from repro.core import MigrRdmaWorld
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,67 +42,30 @@ def record_result(filename: str, header: str, row: str) -> None:
         handle.write(row.rstrip() + "\n")
 
 
-class MigrationScenario:
-    """One migrating perftest container plus its partner(s)."""
+class MigrationScenario(PerftestBed):
+    """One migrating perftest container plus its partner: the benchmarks'
+    adapter over :class:`repro.beds.PerftestBed` — built and set up in one
+    step, with ``presetup`` chosen at construction."""
 
-    def __init__(self, num_qps: int = 16, msg_size: int = 65536, depth: int = 8,
-                 mode: str = "write", migrate: str = "sender",
-                 num_partners: int = 1, presetup: bool = True,
-                 verify_content: bool = False, config: Optional[Config] = None,
-                 sender_extra_vmas: int = 0):
-        self.config = config or default_config()
+    def __init__(self, num_qps: int = 16, presetup: bool = True,
+                 sender_extra_vmas: int = 0, **bed_kwargs):
+        super().__init__(num_qps, **bed_kwargs)
         self.presetup = presetup
-        self.num_qps = num_qps
-        self.tb = cluster.build(config=self.config, num_partners=num_partners)
-        self.world = MigrRdmaWorld(self.tb)
-        kwargs = dict(world=self.world, mode=mode, msg_size=msg_size,
-                      depth=depth, verify_content=verify_content)
-        self.sender = PerftestEndpoint(self.tb.source if migrate == "sender"
-                                       else self.tb.partners[0], name="tx", **kwargs)
-        self.receiver = PerftestEndpoint(self.tb.partners[0] if migrate == "sender"
-                                         else self.tb.source, name="rx", **kwargs)
-        self.mover = self.sender if migrate == "sender" else self.receiver
-        self.mode = mode
+        self.run(self.setup(), limit=120.0)
+        # perftest's sender allocates extra working memory (staging
+        # buffers etc.), making its memory table more complicated than
+        # the receiver's — the §5.2 sender/receiver asymmetry.
+        for i in range(sender_extra_vmas):
+            self.sender.process.space.mmap(4096, tag="data", name=f"staging{i}")
 
-        def setup():
-            yield from self.sender.setup(qp_budget=num_qps)
-            yield from self.receiver.setup(qp_budget=num_qps)
-            yield from connect_endpoints(self.sender, self.receiver,
-                                         qp_count=num_qps)
-            # perftest's sender allocates extra working memory (staging
-            # buffers etc.), making its memory table more complicated than
-            # the receiver's — the §5.2 sender/receiver asymmetry.
-            extra_owner = self.sender.process
-            for i in range(sender_extra_vmas):
-                extra_owner.space.mmap(4096, tag="data", name=f"staging{i}")
-
-        self.tb.run(setup(), limit=120.0)
+    @property
+    def tb(self):
+        """The testbed, as the benchmark files spell it: the bed is one."""
+        return self
 
     def run_migration(self, warmup_s: float = 2e-3, settle_s: float = 2e-3):
         """Start traffic, migrate the mover, return the report."""
-        if self.mode == "send":
-            self.receiver.start_as_receiver()
-        self.sender.start_as_sender()
-
-        def flow():
-            yield self.tb.sim.timeout(warmup_s)
-            migration = LiveMigration(self.world, self.mover.container,
-                                      self.tb.destination, presetup=self.presetup)
-            report = yield from migration.run()
-            yield self.tb.sim.timeout(settle_s)
-            self.sender.stop()
-            self.receiver.stop()
-            yield self.tb.sim.timeout(2e-3)
-            return report
-
-        report = self.tb.run(flow(), limit=1200.0)
-        if not self.sender.stats.clean:
-            raise AssertionError(
-                f"correctness violated: {self.sender.stats.order_errors[:2]} "
-                f"{self.sender.stats.status_errors[:2]}")
-        if self.tb.sim.failed_processes:
-            raise AssertionError(f"background failures: {self.tb.sim.failed_processes[:2]}")
-        return report
+        return super().run_migration(self.presetup, warmup_s, settle_s)
 
 
 def breakdown_row(label: str, report) -> Dict[str, float]:

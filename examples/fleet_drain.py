@@ -13,8 +13,8 @@ FleetReport shows the blackout distribution and per-trunk utilisation.
 Run:  python examples/fleet_drain.py
 """
 
-from repro.chaos.invariants import DEFAULT_REGISTRY, InvariantContext
-from repro.fleet import AdmissionLimits, MigrationScheduler, build_fleet
+from repro.beds import checked
+from repro.fleet import build_fleet
 
 
 def main():
@@ -23,29 +23,18 @@ def main():
     fleet.run(fleet.setup())
     fleet.start_traffic()
 
-    scheduler = MigrationScheduler(
-        fleet, limits=AdmissionLimits(fleet=2), placement="least-loaded")
-    jobs = scheduler.plan("drain", "rack0")
-    print(f"draining rack0: {len(jobs)} containers to move\n")
-
-    def flow():
-        report = yield from scheduler.execute(jobs)
-        yield fleet.sim.timeout(3e-3)
-        yield from fleet.quiesce()
-        return report
-
-    report = fleet.run(flow(), limit=1200.0)
+    # Plan the drain, run it (at most two migrations in flight), settle,
+    # quiesce: one call, the same one the runners and the torture harness make.
+    report, jobs = fleet.run_policy("drain", "rack0", concurrency=2)
+    print(f"drained rack0: {len(jobs)} containers moved\n")
     print(report.render())
 
-    ctx = InvariantContext(fleet, world=fleet.world, endpoints=fleet.endpoints,
-                           pairs=fleet.pairs,
-                           reports=scheduler.migration_reports, fleet=fleet)
-    inv = DEFAULT_REGISTRY.run(ctx)
-    print()
-    print(inv.render())
+    tail = checked(fleet.context())
+    print(f"\n{len(tail['invariants_checked'])} invariants checked: "
+          f"{'all hold' if tail['invariants_ok'] else tail['violations']}")
     for host in fleet.state.hosts:
         print(f"{host}: {fleet.state.containers_on(host)}")
-    return 0 if inv.ok and report.failed == 0 else 1
+    return 0 if tail["invariants_ok"] and report.failed == 0 else 1
 
 
 if __name__ == "__main__":

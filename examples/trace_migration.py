@@ -14,50 +14,25 @@ Run:  python examples/trace_migration.py [output.json]
 
 import sys
 
-from repro import cluster
-from repro.apps.perftest import PerftestEndpoint, connect_endpoints
-from repro.core import LiveMigration, MigrRdmaWorld
+from repro.beds import PerftestBed
 from repro.obs import MetricsRegistry, Tracer, timeline_summary, write_chrome_trace
 
 
 def main(out_path="trace_migration.json"):
-    # 1. Testbed + tracer.  Attach before building the world so even the
+    # 1. A perftest WRITE stream (4 QPs) through the MigrRDMA guest library,
+    # and a tracer attached before the first simulated event, so even the
     # control-plane setup traffic lands on the timeline.
-    tb = cluster.build(num_partners=1)
-    tracer = Tracer(tb.sim).attach()
-    world = MigrRdmaWorld(tb)
+    bed = PerftestBed(4, msg_size=16384, depth=16)
+    tracer = Tracer(bed.sim).attach()
+    bed.run(bed.setup())
 
-    # 2. A perftest WRITE stream through the MigrRDMA guest library.
-    sender = PerftestEndpoint(tb.source, name="sender", world=world,
-                              mode="write", msg_size=16384, depth=16)
-    receiver = PerftestEndpoint(tb.partners[0], name="receiver", world=world,
-                                mode="write", msg_size=16384, depth=16)
+    # 2. Migrate the sender mid-stream; raises unless every completion
+    # came back in order with a good status.
+    report = bed.run_migration(warmup_s=5e-3, settle_s=5e-3)
 
-    def setup():
-        yield from sender.setup(qp_budget=4)
-        yield from receiver.setup(qp_budget=4)
-        yield from connect_endpoints(sender, receiver, qp_count=4)
-
-    tb.run(setup())
-    sender.start_as_sender()
-
-    # 3. Migrate the sender mid-stream.
-    def scenario():
-        yield tb.sim.timeout(5e-3)
-        migration = LiveMigration(world, sender.container, tb.destination,
-                                  presetup=True)
-        report = yield from migration.run()
-        yield tb.sim.timeout(5e-3)
-        sender.stop()
-        yield tb.sim.timeout(2e-3)
-        return report
-
-    report = tb.run(scenario(), limit=120.0)
-    assert sender.stats.clean, "correctness check failed!"
-
-    # 4. Export: Chrome trace JSON + metrics snapshot + text summary.
+    # 3. Export: Chrome trace JSON + metrics snapshot + text summary.
     metrics = MetricsRegistry()
-    metrics.scrape_testbed(tb, world)
+    metrics.scrape_testbed(bed, bed.world)
     write_chrome_trace(tracer, out_path, metrics=metrics)
     print(timeline_summary(tracer, metrics=metrics, top=10))
 

@@ -42,7 +42,6 @@ from repro.apps.perftest import Connection, PerftestStats
 from repro.apps.pollloop import IDLE_POLL_S, BusyPoller
 from repro.cluster import Container, Server
 from repro.rnic import AccessFlags, Opcode, QPType, RecvWR, SendWR
-from repro.verbs import DirectVerbs
 from repro.verbs.api import make_sge
 
 _kv_ids = itertools.count(1)
@@ -417,20 +416,12 @@ class KvServer(BusyPoller):
                  msg_size: int = 256, depth: int = 32,
                  tenant: Optional[str] = None):
         self.name = name or f"kvserver{next(_kv_ids)}"
-        self.server = server
-        self.world = world
         self.layout = KvTableLayout(n_buckets, value_cap)
         self.msg_size = msg_size
         self.depth = depth
         self.tenant = tenant
 
-        self.container = container or server.create_container(f"{self.name}-ct")
-        self.process = self.container.add_process(self.name)
-        if world is not None:
-            self.lib = world.make_lib(self.process, self.container)
-        else:
-            self.lib = DirectVerbs(self.process, server.rnic)
-        self.container.apps.append(self)
+        self._attach(server, world, container)
 
         self.pd = None
         self.cq = None
@@ -526,8 +517,7 @@ class KvServer(BusyPoller):
     def start(self) -> None:
         self.running = True
         self._sender_active = True
-        self.process.attach(self.server.sim.spawn(
-            self._server_loop(), name=f"{self.name}:srv"))
+        self._spawn_loops()
 
     def _server_loop(self):
         def tick():
@@ -625,22 +615,15 @@ class KvServer(BusyPoller):
 
     # -- migration transparency ----------------------------------------------
 
+    def _spawn_loops(self) -> None:
+        self.process.attach(self.server.sim.spawn(
+            self._server_loop(), name=f"{self.name}:srv"))
+
     def on_migrated(self, session, restored_container: Container) -> None:
-        self.container = restored_container
-        self.process = session.processes[self.process.pid]
-        self.server = restored_container.server
+        super().on_migrated(session, restored_container)
         # The table VMA was restored at its original VA: re-root the
         # backend on the restored address space.
         self.table.mem = SpaceBacking(self.process.space, self.table_addr)
-        if self.running:
-            self.process.attach(self.server.sim.spawn(
-                self._server_loop(), name=f"{self.name}:srv"))
-
-    def on_rollback(self, container: Container) -> None:
-        self.table.mem = SpaceBacking(self.process.space, self.table_addr)
-        if self.running:
-            self.process.attach(self.server.sim.spawn(
-                self._server_loop(), name=f"{self.name}:srv"))
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +660,7 @@ class KvClient(BusyPoller):
                  seed: int = 0, tenant: Optional[str] = None,
                  pace_s: float = 0.0):
         self.name = name or f"kvclient{next(_kv_ids)}"
-        self.server = server
         self.kv = kv
-        self.world = world
         self.layout = kv.layout
         self.keyspace = keyspace or [f"key{i:04d}" for i in range(32)]
         self.value_len = min(value_len, kv.layout.value_cap)
@@ -691,13 +672,7 @@ class KvClient(BusyPoller):
         self.client_id = next(_kv_ids) << 8  # nonzero CAS holder token
         self.rng = random.Random(f"kvclient:{seed}:{self.name}")
 
-        self.container = container or server.create_container(f"{self.name}-ct")
-        self.process = self.container.add_process(self.name)
-        if world is not None:
-            self.lib = world.make_lib(self.process, self.container)
-        else:
-            self.lib = DirectVerbs(self.process, server.rnic)
-        self.container.apps.append(self)
+        self._attach(server, world, container)
 
         self.pd = None
         self.cq = None
@@ -767,8 +742,7 @@ class KvClient(BusyPoller):
         self.running = True
         self._iters_left = iters
         self._sender_active = True
-        self.process.attach(self.server.sim.spawn(
-            self._client_loop(), name=f"{self.name}:ops"))
+        self._spawn_loops()
 
     def _client_loop(self):
         return self._poll_loop(self._client_tick)
@@ -1036,18 +1010,9 @@ class KvClient(BusyPoller):
 
     # -- migration transparency ----------------------------------------------
 
-    def on_migrated(self, session, restored_container: Container) -> None:
-        self.container = restored_container
-        self.process = session.processes[self.process.pid]
-        self.server = restored_container.server
-        if self.running:
-            self.process.attach(self.server.sim.spawn(
-                self._client_loop(), name=f"{self.name}:ops"))
-
-    def on_rollback(self, container: Container) -> None:
-        if self.running:
-            self.process.attach(self.server.sim.spawn(
-                self._client_loop(), name=f"{self.name}:ops"))
+    def _spawn_loops(self) -> None:
+        self.process.attach(self.server.sim.spawn(
+            self._client_loop(), name=f"{self.name}:ops"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 from repro.apps.pollloop import IDLE_POLL_S, POLL_BATCH, BusyPoller
 from repro.cluster import Container, Server
 from repro.rnic import AccessFlags, Opcode, QPType, RecvWR, SendWR
-from repro.verbs import DirectVerbs
 from repro.verbs.api import make_sge
 
 _endpoint_ids = itertools.count(1)
@@ -92,8 +91,6 @@ class PerftestEndpoint(BusyPoller):
         if pace_s < 0:
             raise ValueError(f"pace_s must be >= 0, got {pace_s}")
         self.name = name or f"perftest{next(_endpoint_ids)}"
-        self.server = server
-        self.world = world
         self.msg_size = msg_size
         self.depth = depth
         self.mode = mode
@@ -109,13 +106,7 @@ class PerftestEndpoint(BusyPoller):
         #: per-tenant QoS identity carried on every QP this endpoint creates
         self.tenant = tenant
 
-        self.container = container or server.create_container(f"{self.name}-ct")
-        self.process = self.container.add_process(self.name, record_samples=sample_cycles)
-        if world is not None:
-            self.lib = world.make_lib(self.process, self.container)
-        else:
-            self.lib = DirectVerbs(self.process, server.rnic)
-        self.container.apps.append(self)
+        self._attach(server, world, container, record_samples=sample_cycles)
 
         self.pd = None
         self.cq = None
@@ -389,39 +380,16 @@ class PerftestEndpoint(BusyPoller):
             self._repost_recv(conn)
 
     # ------------------------------------------------------------------
-    # migration transparency hook
+    # migration transparency hook (BusyPoller.on_migrated / on_rollback)
     # ------------------------------------------------------------------
 
-    def on_migrated(self, session, restored_container: Container) -> None:
-        """Called by the orchestrator after restore: re-home and resume.
-
-        The endpoint's logical state (sequence numbers, stats) lives in the
-        Python object — the analogue of restored process memory; the verbs
-        wrappers stay valid because MigrRDMA virtualizes them.
-        """
-        self.container = restored_container
-        self.process = session.processes[self.process.pid]
-        self.server = restored_container.server
-        if self.running:
-            if self._sender_active:
-                self.process.attach(self.server.sim.spawn(
-                    self._sender_loop(), name=f"{self.name}:tx"))
-            if self._receiver_active:
-                self.process.attach(self.server.sim.spawn(
-                    self._receiver_loop(), name=f"{self.name}:rx"))
-
-    def on_rollback(self, container: Container) -> None:
-        """Called by the orchestrator when a migration rolls back after the
-        freeze: the container was thawed in place on the *source*, so only
-        the interrupted loops need respawning — no re-homing, the endpoint
-        never moved."""
-        if self.running:
-            if self._sender_active:
-                self.process.attach(self.server.sim.spawn(
-                    self._sender_loop(), name=f"{self.name}:tx"))
-            if self._receiver_active:
-                self.process.attach(self.server.sim.spawn(
-                    self._receiver_loop(), name=f"{self.name}:rx"))
+    def _spawn_loops(self) -> None:
+        if self._sender_active:
+            self.process.attach(self.server.sim.spawn(
+                self._sender_loop(), name=f"{self.name}:tx"))
+        if self._receiver_active:
+            self.process.attach(self.server.sim.spawn(
+                self._receiver_loop(), name=f"{self.name}:rx"))
 
     # ------------------------------------------------------------------
     # results

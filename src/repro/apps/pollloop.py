@@ -10,6 +10,11 @@ and of its cycle ledger.  Whatever could make a tick matter wakes it; the
 wake replays the skipped polls exactly (``CpuContext.replay_idle_polls``),
 credits their dispatches, and resumes the loop at the first tick instant not
 yet run.  This module is the only place that knows the tick arithmetic.
+
+The mixin also owns what every such endpoint repeats around its loops: the
+attach to a container and a verbs library, the ``on_migrated`` /
+``on_rollback`` hooks that respawn the loops, and :func:`quiesce`, the
+post-run drain that drives the protocol from outside.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from repro.sim import Interrupt
+from repro.verbs import DirectVerbs
 
 #: completions drained per poll call (perftest uses batched polling)
 POLL_BATCH = 16
@@ -24,12 +30,53 @@ POLL_BATCH = 16
 #: idle backoff when the wire is quiet (busy-poll granularity)
 IDLE_POLL_S = 1e-6
 
+#: sim-time budget for the post-run drain of in-flight completions
+QUIESCE_TIMEOUT_S = 1.0
+QUIESCE_POLL_S = 200e-6
+
 
 class BusyPoller:
-    """Mixin for an endpoint with ``lib``, ``cq``, ``process``, ``server``,
-    ``running`` and ``_handle_wc(wc)``."""
+    """Mixin for an endpoint with ``name``, ``cq``, ``running``,
+    ``_handle_wc(wc)`` and ``_spawn_loops()`` (respawn every traffic loop
+    that was active, after a freeze killed them)."""
 
     _park = None  # the endpoint's parked loop, at most one
+
+    def _attach(self, server, world, container, record_samples=False) -> None:
+        """Give the endpoint a home: a process inside ``container`` (its own
+        fresh one if None) and a verbs library — the MigrRDMA guest lib when
+        a ``world`` is given, the plain one otherwise."""
+        self.server = server
+        self.world = world
+        self.container = container or server.create_container(f"{self.name}-ct")
+        self.process = self.container.add_process(
+            self.name, record_samples=record_samples)
+        if world is not None:
+            self.lib = world.make_lib(self.process, self.container)
+        else:
+            self.lib = DirectVerbs(self.process, server.rnic)
+        self.container.apps.append(self)
+
+    def on_migrated(self, session, restored_container) -> None:
+        """Called by the orchestrator after restore: re-home and resume.
+
+        The endpoint's logical state (sequence numbers, stats) lives in the
+        Python object — the analogue of restored process memory; the verbs
+        wrappers stay valid because MigrRDMA virtualizes them.
+        """
+        self.container = restored_container
+        self.process = session.processes[self.process.pid]
+        self.server = restored_container.server
+        if self.running:
+            self._spawn_loops()
+
+    def on_rollback(self, container) -> None:
+        """Called by the orchestrator when a migration rolls back after the
+        freeze: the container was thawed in place on the *source*, so only
+        the interrupted loops need respawning — no re-homing, the endpoint
+        never moved."""
+        if self.running:
+            self._spawn_loops()
 
     def stop(self) -> None:
         """Ask the traffic loops to wind down at their next wakeup."""
@@ -113,3 +160,42 @@ class BusyPoller:
     def _trace_idle(self, name: str, args) -> None:
         tracer = self.server.sim.tracer
         tracer.instant(tracer.lane(self.server.name, "verbs"), name, args)
+
+
+def quiesce(tb, endpoints, timeout_s: float = QUIESCE_TIMEOUT_S):
+    """Generator: stop traffic and drain every in-flight completion.
+
+    The perftest loops exit without a final drain, so lost CQEs would be
+    invisible without this step: a sender connection whose ``outstanding``
+    never reaches zero here is exactly a conservation violation.
+
+    Senders are stopped first and receivers keep consuming (and reposting
+    RECVs) until the senders drain — stopping both at once would leave the
+    last in-flight SENDs without a RECV to land in, an RNR retry loop that
+    never resolves (rnr_retry=7 retries forever) and a false conservation
+    violation.
+    """
+    for ep in endpoints:
+        if ep._sender_active:
+            ep.stop()
+    deadline = tb.sim.now + timeout_s
+    drained = False
+    while True:
+        for ep in endpoints:
+            ep._drain_completions()
+        if all(conn.outstanding == 0
+               for ep in endpoints if ep._sender_active
+               for conn in ep.connections):
+            drained = True
+            break
+        if tb.sim.now >= deadline:
+            break
+        yield tb.sim.timeout(QUIESCE_POLL_S)
+    # The final ACKed send's receive-side CQE may still be in flight; let
+    # it land while the receivers are live, then stop them too.
+    yield tb.sim.timeout(QUIESCE_POLL_S)
+    for ep in endpoints:
+        ep.stop()
+    for ep in endpoints:
+        ep._drain_completions()
+    return drained

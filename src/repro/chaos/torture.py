@@ -17,8 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
-from repro import cluster
-from repro.apps.perftest import PerftestEndpoint, connect_endpoints
+from repro.apps.pollloop import quiesce  # noqa: F401  (its historical home)
 from repro.chaos.invariants import (
     DEFAULT_REGISTRY,
     InvariantContext,
@@ -26,15 +25,10 @@ from repro.chaos.invariants import (
     run_digest,
 )
 from repro.chaos.plan import FaultPlan
-from repro.core import LiveMigration, MigrRdmaWorld
 
 __all__ = ["TortureCase", "TortureOutcome", "sample_case", "build_plan",
            "run_case", "run_case_tolerant", "shrink", "reproducer_source",
            "torture", "torture_sweep"]
-
-#: sim-time budget for the post-run drain of in-flight completions
-QUIESCE_TIMEOUT_S = 1.0
-QUIESCE_POLL_S = 200e-6
 
 #: how often a torture sweep visits the Hadoop scenario instead of perftest
 HADOOP_EVERY = 6
@@ -313,45 +307,6 @@ def _apply_fault(plan: FaultPlan, spec: Dict[str, object], offset_s: float) -> N
 # running a case
 # ---------------------------------------------------------------------------
 
-def quiesce(tb, endpoints, timeout_s: float = QUIESCE_TIMEOUT_S):
-    """Generator: stop traffic and drain every in-flight completion.
-
-    The perftest loops exit without a final drain, so lost CQEs would be
-    invisible without this step: a sender connection whose ``outstanding``
-    never reaches zero here is exactly a conservation violation.
-
-    Senders are stopped first and receivers keep consuming (and reposting
-    RECVs) until the senders drain — stopping both at once would leave the
-    last in-flight SENDs without a RECV to land in, an RNR retry loop that
-    never resolves (rnr_retry=7 retries forever) and a false conservation
-    violation.
-    """
-    for ep in endpoints:
-        if ep._sender_active:
-            ep.stop()
-    deadline = tb.sim.now + timeout_s
-    drained = False
-    while True:
-        for ep in endpoints:
-            ep._drain_completions()
-        if all(conn.outstanding == 0
-               for ep in endpoints if ep._sender_active
-               for conn in ep.connections):
-            drained = True
-            break
-        if tb.sim.now >= deadline:
-            break
-        yield tb.sim.timeout(QUIESCE_POLL_S)
-    # The final ACKed send's receive-side CQE may still be in flight; let
-    # it land while the receivers are live, then stop them too.
-    yield tb.sim.timeout(QUIESCE_POLL_S)
-    for ep in endpoints:
-        ep.stop()
-    for ep in endpoints:
-        ep._drain_completions()
-    return drained
-
-
 def run_case(case: TortureCase) -> TortureOutcome:
     if case.scenario == "hadoop":
         ctx = _run_hadoop_case(case)
@@ -393,44 +348,13 @@ def run_case_tolerant(case: TortureCase) -> TortureOutcome:
 
 
 def _run_perftest_case(case: TortureCase) -> InvariantContext:
+    from repro.beds import PerftestBed
+
     w = case.workload
-    tb = cluster.build(num_partners=1)
-    world = MigrRdmaWorld(tb)
-    kwargs = dict(world=world, mode=w["mode"], msg_size=w["msg_size"],
-                  depth=w["depth"],
-                  verify_content=w["mode"] in ("write", "send"))
-    sender = PerftestEndpoint(tb.source if w["migrate"] == "sender"
-                              else tb.partners[0], name="tx", **kwargs)
-    receiver = PerftestEndpoint(tb.partners[0] if w["migrate"] == "sender"
-                                else tb.source, name="rx", **kwargs)
-    mover = sender if w["migrate"] == "sender" else receiver
-
-    def setup():
-        yield from sender.setup(qp_budget=w["qps"])
-        yield from receiver.setup(qp_budget=w["qps"])
-        yield from connect_endpoints(sender, receiver, qp_count=w["qps"])
-
-    tb.run(setup())
-    plan = build_plan(case, offset_s=tb.sim.now)
-    plan.install(tb)
-    if w["mode"] == "send":
-        receiver.start_as_receiver()
-    sender.start_as_sender()
-    reports = []
-
-    def flow():
-        yield tb.sim.timeout(case.trigger_s)
-        migration = LiveMigration(world, mover.container, tb.destination,
-                                  presetup=w["presetup"])
-        plan.arm(migration)
-        reports.append((yield from migration.run()))
-        yield tb.sim.timeout(3e-3)
-        yield from quiesce(tb, [sender, receiver])
-
-    tb.run(flow(), limit=600.0)
-    return InvariantContext(tb, world=world, endpoints=[sender, receiver],
-                            pairs=[(sender, receiver)], reports=reports,
-                            plan=plan)
+    bed = PerftestBed(w["qps"], msg_size=w["msg_size"], depth=w["depth"],
+                      mode=w["mode"], migrate=w["migrate"],
+                      verify_content=w["mode"] in ("write", "send"))
+    return _drive_bed(case, bed, presetup=w["presetup"])
 
 
 def _run_kv_case(case: TortureCase) -> InvariantContext:
@@ -438,67 +362,30 @@ def _run_kv_case(case: TortureCase) -> InvariantContext:
 
     Same drill as the perftest case, but the workload is the KV store —
     SEND PUTs, one-sided READ GETs and CAS locks — with per-tenant QoS
-    installed so the fault campaign also runs through the shaping path,
+    installed so the fault campaign also runs through the shaping path
+    (the ``"noisy"`` tenant exists even when the case draws no noise),
     and the ``kv-linearizable`` checker judging the surviving history.
     """
-    from repro.apps.kvstore import KvClient, KvServer, connect_kv
-    from repro.rnic import TenantSpec, install_qos
+    from repro.beds import KvBed
+    from repro.rnic import TenantSpec
 
     w = case.workload
-    tb = cluster.build(num_partners=2)
-    world = MigrRdmaWorld(tb)
-    install_qos(tb.servers, [TenantSpec("victim", max_qps=w["n_clients"] + 2),
-                             TenantSpec("noisy", rate_bps=40e9)])
-    keys = [f"key{i:04d}" for i in range(w["keyspace"])]
-    kv = KvServer(tb.partners[0], name="kv", world=world, value_cap=64)
-    clients = [KvClient(tb.source, kv, name=f"kv-c{i}", world=world,
-                        keyspace=keys, value_len=w["value_len"],
-                        depth=w["depth"], seed=case.plan_seed,
-                        tenant="victim")
-               for i in range(w["n_clients"])]
-    noise = []
-    if w["noise"]:
-        nkwargs = dict(world=world, mode="write", msg_size=262144, depth=4,
-                       verify_content=True)
-        noise = [PerftestEndpoint(tb.source, name="noise-tx", tenant="noisy",
-                                  **nkwargs),
-                 PerftestEndpoint(tb.partners[1], name="noise-rx", **nkwargs)]
+    bed = KvBed(case.plan_seed, w["n_clients"], w["keyspace"], w["value_len"],
+                w["depth"],
+                tenants=[TenantSpec("victim", max_qps=w["n_clients"] + 2),
+                         TenantSpec("noisy", rate_bps=40e9)],
+                noise=(262144, 4) if w["noise"] else None)
+    return _drive_bed(case, bed)
 
-    def setup():
-        yield from kv.setup(client_budget=w["n_clients"])
-        kv.preload(keys, w["value_len"])
-        for client in clients:
-            yield from client.setup()
-            yield from connect_kv(kv, client)
-        if noise:
-            yield from noise[0].setup(qp_budget=1)
-            yield from noise[1].setup(qp_budget=1)
-            yield from connect_endpoints(noise[0], noise[1], qp_count=1)
 
-    tb.run(setup())
-    plan = build_plan(case, offset_s=tb.sim.now)
-    plan.install(tb)
-    kv.start()
-    for client in clients:
-        client.start()
-    if noise:
-        noise[0].start_as_sender()
-    endpoints = [*clients, kv, *noise]
-    reports = []
-
-    def flow():
-        yield tb.sim.timeout(case.trigger_s)
-        migration = LiveMigration(world, clients[0].container,
-                                  tb.destination, presetup=True)
-        plan.arm(migration)
-        reports.append((yield from migration.run()))
-        yield tb.sim.timeout(3e-3)
-        yield from quiesce(tb, endpoints)
-
-    tb.run(flow(), limit=600.0)
-    return InvariantContext(tb, world=world, endpoints=endpoints,
-                            pairs=[tuple(noise)] if noise else [],
-                            reports=reports, plan=plan)
+def _drive_bed(case: TortureCase, bed, presetup: bool = True) -> InvariantContext:
+    """Set the bed up, install the case's faults (windows offset to the end
+    of setup), and run the checked flow with them armed."""
+    bed.run(bed.setup())
+    plan = build_plan(case, offset_s=bed.sim.now)
+    plan.install(bed)
+    bed.drive(case.trigger_s, presetup=presetup, plan=plan)
+    return bed.context(plan=plan)
 
 
 def _run_fleet_case(case: TortureCase) -> InvariantContext:
@@ -511,9 +398,7 @@ def _run_fleet_case(case: TortureCase) -> InvariantContext:
     frozen) and ``lease-fencing`` (no split-brain reachable) — over every
     per-migration report from every incarnation.
     """
-    from repro.fleet import (AdmissionLimits, MigrationScheduler,
-                             SchedulerJournal, build_fleet,
-                             drain_with_recovery)
+    from repro.fleet import build_fleet
 
     w = case.workload
     fleet = build_fleet(racks=w["racks"], hosts_per_rack=w["hosts_per_rack"],
@@ -523,29 +408,14 @@ def _run_fleet_case(case: TortureCase) -> InvariantContext:
     plan = build_plan(case, offset_s=fleet.sim.now)
     plan.install(fleet)
     fleet.start_traffic()
-    c = w.get("concurrency", 2)
-    limits = AdmissionLimits(fleet=c, per_host=c, per_rack=c, per_uplink=c)
-    scheduler = MigrationScheduler(fleet, limits=limits, chaos=plan)
-    jobs = scheduler.plan("drain", w["target"])
-    journal = SchedulerJournal()
-
-    def flow():
-        freport = yield from drain_with_recovery(scheduler, jobs,
-                                                 journal=journal)
-        yield fleet.sim.timeout(3e-3)
-        yield from fleet.quiesce()
-        return freport
-
-    tb_report = fleet.run(flow(), limit=1200.0)
+    report, _jobs = fleet.run_policy("drain", w["target"],
+                                     w.get("concurrency", 2), chaos=plan)
     errors = []
-    if tb_report.failed:
-        failed = [o.container for o in tb_report.outcomes if not o.completed]
-        errors.append(f"fleet drain left {tb_report.failed} jobs unfinished: "
+    if report.failed:
+        failed = [o.container for o in report.outcomes if not o.completed]
+        errors.append(f"fleet drain left {report.failed} jobs unfinished: "
                       f"{', '.join(failed)}")
-    return InvariantContext(fleet, world=fleet.world,
-                            endpoints=fleet.endpoints, pairs=fleet.pairs,
-                            reports=journal.migration_reports, plan=plan,
-                            workload_errors=errors, fleet=fleet)
+    return fleet.context(plan=plan, workload_errors=errors)
 
 
 def _run_hadoop_case(case: TortureCase) -> InvariantContext:

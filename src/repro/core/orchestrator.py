@@ -83,6 +83,19 @@ COMMIT_POINT = "transferred"
 #: concluding the world is unrecoverable and raising anyway.
 _PATIENT_DEADLINE_S = 60.0
 
+#: Partner pre-setup is serial firmware work, ~1.4 ms per QP (5.6 s at
+#: 4096 QPs); the pre-commit deadline allows at least this much per QP.
+_PRESETUP_S_PER_QP = 1.5e-3
+
+
+def presetup_budget_s(deadline_s: float, partners: Dict[str, List[int]]) -> float:
+    """The pre-commit pre-setup deadline for this migration's fan-out:
+    ``config.migration.presetup_deadline_s``, stretched where the QP count
+    (``partners`` maps node -> partner QPNs) makes it unmeetable.  A
+    deadline only acts when it expires, so below ~1300 QPs nothing moves."""
+    qps = sum(len(pqpns) for pqpns in partners.values())
+    return max(deadline_s, _PRESETUP_S_PER_QP * qps)
+
 
 @dataclass
 class MigrationReport:
@@ -587,7 +600,8 @@ class LiveMigration:
         """
         mig = self.config.migration
         policy = PATIENT_RETRY_POLICY if patient else DEFAULT_RETRY_POLICY
-        budget = _PATIENT_DEADLINE_S if patient else mig.presetup_deadline_s
+        budget = (_PATIENT_DEADLINE_S if patient
+                  else presetup_budget_s(mig.presetup_deadline_s, partners))
         for node in partners:
             deadline = self.sim.now + budget
             try:

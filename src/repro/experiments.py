@@ -181,46 +181,18 @@ def cmd_fig6(args) -> int:
 
 def cmd_trace(args) -> None:
     """One traced migration: Chrome trace JSON + text timeline summary."""
-    from repro import cluster
-    from repro.apps.perftest import PerftestEndpoint, connect_endpoints
-    from repro.core import LiveMigration, MigrRdmaWorld
+    from repro.beds import PerftestBed
     from repro.obs import (MetricsRegistry, Tracer, census_summary,
                            timeline_summary, write_chrome_trace)
 
-    tb = cluster.build(num_partners=1)
-    tracer = Tracer(tb.sim, kernel_dispatch=args.kernel_dispatch,
+    bed = PerftestBed(args.qps, msg_size=args.msg_size, migrate=args.migrate)
+    # Attached after the bed is assembled, before its first event.
+    tracer = Tracer(bed.sim, kernel_dispatch=args.kernel_dispatch,
                     census=args.census).attach()
-    world = MigrRdmaWorld(tb)
-    kwargs = dict(world=world, mode="write", msg_size=args.msg_size, depth=8)
-    migrate = args.migrate
-    sender = PerftestEndpoint(tb.source if migrate == "sender" else tb.partners[0],
-                              name="tx", **kwargs)
-    receiver = PerftestEndpoint(tb.partners[0] if migrate == "sender" else tb.source,
-                                name="rx", **kwargs)
-    mover = sender if migrate == "sender" else receiver
-
-    def setup():
-        yield from sender.setup(qp_budget=args.qps)
-        yield from receiver.setup(qp_budget=args.qps)
-        yield from connect_endpoints(sender, receiver, qp_count=args.qps)
-
-    tb.run(setup())
-    sender.start_as_sender()
-
-    def flow():
-        yield tb.sim.timeout(2e-3)
-        migration = LiveMigration(world, mover.container, tb.destination,
-                                  presetup=not args.no_presetup)
-        report = yield from migration.run()
-        yield tb.sim.timeout(2e-3)
-        sender.stop()
-        receiver.stop()
-        yield tb.sim.timeout(2e-3)
-        return report
-
-    report = tb.run(flow(), limit=1200.0)
+    bed.run(bed.setup())
+    report = bed.run_migration(presetup=not args.no_presetup)
     metrics = MetricsRegistry()
-    metrics.scrape_testbed(tb, world)
+    metrics.scrape_testbed(bed, bed.world)
     write_chrome_trace(tracer, args.out, metrics=metrics)
     print(timeline_summary(tracer, metrics=metrics))
     print()
@@ -519,6 +491,17 @@ def main(argv=None) -> int:
                          "from the journal")
     add_jobs(px)
 
+    pr = sub.add_parser("recovery",
+                        help="supervised recovery from destination crashes")
+    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--runs", type=int, default=4)
+    pr.add_argument("--rpc-loss", type=float, default=0.05)
+    pr.add_argument("--kill-dest-at", default="precopy-dumped",
+                    metavar="BOUNDARY")
+    pr.add_argument("--down-s", type=float, default=18e-3)
+    pr.add_argument("--budget", type=int, default=3)
+    add_jobs(pr)
+
     pf = sub.add_parser("fleet",
                         help="fleet-scale drain/rebalance/evict under "
                              "admission control")
@@ -567,22 +550,9 @@ def main(argv=None) -> int:
                          "(tenant 'kv') that migrate with the drain")
     add_jobs(pf)
 
-    pr = sub.add_parser("recovery",
-                        help="supervised recovery from destination crashes")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--runs", type=int, default=4)
-    pr.add_argument("--rpc-loss", type=float, default=0.05)
-    pr.add_argument("--kill-dest-at", default="precopy-dumped",
-                    metavar="BOUNDARY")
-    pr.add_argument("--down-s", type=float, default=18e-3)
-    pr.add_argument("--budget", type=int, default=3)
-    add_jobs(pr)
-
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in ("fig3", "fig4", "fig5", "table4", "fig6", "migros",
-                     "trace", "kv", "torture", "recovery", "fleet"):
-            print(name)
+        print("\n".join(name for name in sub.choices if name != "list"))
         return 0
     handler = globals()[f"cmd_{args.command}"]
     if args.profile:

@@ -21,11 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.perftest import PerftestEndpoint, connect_endpoints
+from repro.apps.pollloop import quiesce
+from repro.chaos.invariants import InvariantContext
 from repro.cluster import ClusterBed, Container
 from repro.config import Config, MiB, default_config
 from repro.core import MigrRdmaWorld
 from repro.fabric import FatTreeTopology
 
+from .journal import SchedulerJournal
+from .scheduler import AdmissionLimits, MigrationScheduler, drain_with_recovery
 from .state import FleetState
 
 __all__ = ["Fleet", "FleetSpec", "build_fleet"]
@@ -101,6 +105,8 @@ class Fleet(ClusterBed):
         self.pairs: List[Tuple[PerftestEndpoint, PerftestEndpoint]] = []
         self.kv_servers: list = []
         self.kv_clients: list = []
+        #: the last :meth:`run_policy`'s journal
+        self.journal: Optional[SchedulerJournal] = None
         if spec.kv_pairs:
             from repro.rnic import TenantSpec, install_qos
 
@@ -209,9 +215,38 @@ class Fleet(ClusterBed):
 
     def quiesce(self):
         """Generator: stop senders, drain in-flight completions."""
-        from repro.chaos.torture import quiesce
-        result = yield from quiesce(self, self.endpoints)
-        return result
+        return (yield from quiesce(self, self.endpoints))
+
+    def run_policy(self, policy: str, target: str, concurrency: int,
+                   placement: str = "least-loaded", chaos=None):
+        """Plan ``policy`` over ``target`` and run it to completion, across
+        scheduler crashes, with every admission cap at ``concurrency`` (so
+        the fleet-wide one binds); then let the streams settle and quiesce.
+        Returns ``(FleetReport, jobs)``; :attr:`journal` keeps the
+        transition log and every per-migration report."""
+        limits = AdmissionLimits(fleet=concurrency, per_host=concurrency,
+                                 per_rack=concurrency, per_uplink=concurrency)
+        scheduler = MigrationScheduler(self, limits=limits,
+                                       placement=placement, chaos=chaos)
+        jobs = scheduler.plan(policy, target)
+        self.journal = SchedulerJournal()
+
+        def flow():
+            report = yield from drain_with_recovery(scheduler, jobs,
+                                                    journal=self.journal)
+            yield self.sim.timeout(3e-3)
+            yield from self.quiesce()
+            return report
+
+        return self.run(flow(), limit=1200.0), jobs
+
+    def context(self, plan=None, **extra) -> InvariantContext:
+        """Everything the invariant checkers may inspect about the last
+        :meth:`run_policy` (same surface as the workload beds')."""
+        return InvariantContext(self, world=self.world,
+                                endpoints=self.endpoints, pairs=self.pairs,
+                                reports=self.journal.migration_reports,
+                                plan=plan, fleet=self, **extra)
 
     # ------------------------------------------------------------------
     # lookups

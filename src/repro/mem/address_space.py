@@ -57,9 +57,6 @@ class VMA:
     def contains(self, addr: int, size: int = 1) -> bool:
         return self.start <= addr and addr + size <= self.end
 
-    def overlaps(self, start: int, end: int) -> bool:
-        return self.start < end and start < self.end
-
     def __repr__(self) -> str:
         return f"<VMA {self.start:#x}-{self.end:#x} tag={self.tag} name={self.name!r}>"
 
@@ -117,19 +114,37 @@ class AddressSpace:
             )
         return vma
 
-    def vmas_overlapping(self, start: int, end: int) -> List[VMA]:
-        return [v for v in self._vmas if v.overlaps(start, end)]
+    def _first_ending_above(self, addr: int) -> int:
+        """Index of the first VMA that ends above ``addr``.  The list is
+        sorted by start and disjoint, so it is sorted by end too: this one
+        bisect finds where an overlap with ``[addr, ...)`` would begin, and
+        where a mapping starting at ``addr`` belongs."""
+        vmas = self._vmas
+        lo, hi = 0, len(vmas)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            vma = vmas[mid]
+            if vma.start + vma.store.length <= addr:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
-    def is_free(self, start: int, length: int) -> bool:
-        return not self.vmas_overlapping(start, start + length)
+    def vmas_overlapping(self, start: int, end: int) -> List[VMA]:
+        vmas = self._vmas
+        first = last = self._first_ending_above(start)
+        while last < len(vmas) and vmas[last].start < end:
+            last += 1
+        return vmas[first:last]
 
     # -- mapping operations --------------------------------------------------
 
     def _insert(self, vma: VMA) -> VMA:
-        if self.vmas_overlapping(vma.start, vma.end):
+        vmas = self._vmas
+        index = self._first_ending_above(vma.start)
+        if index < len(vmas) and vmas[index].start < vma.end:
             raise MemoryError_(f"{self.name}: mapping at {vma.start:#x} overlaps an existing VMA")
-        self._vmas.append(vma)
-        self._vmas.sort(key=lambda v: v.start)
+        vmas.insert(index, vma)
         return vma
 
     def mmap(
@@ -157,8 +172,11 @@ class AddressSpace:
 
     def _find_free(self, length: int) -> int:
         addr = self._next_hint
-        while not self.is_free(addr, length):
-            addr = align_up(max(v.end for v in self.vmas_overlapping(addr, addr + length)))
+        while True:
+            blocking = self.vmas_overlapping(addr, addr + length)
+            if not blocking:
+                break
+            addr = align_up(blocking[-1].end)  # sorted: the last ends highest
         self._next_hint = addr + length
         return addr
 

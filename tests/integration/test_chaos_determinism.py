@@ -16,7 +16,7 @@
 from repro.chaos import FaultPlan
 from repro.chaos.torture import TortureCase, run_case, sample_case
 
-from tests.integration.test_simtime_equivalence import EXPECTED, MigrationScenario
+from tests.integration.test_simtime_equivalence import EXPECTED, reference_bed
 
 
 def test_same_seed_is_bit_identical():
@@ -31,6 +31,11 @@ def test_same_seed_is_bit_identical():
     assert first.events_processed == second.events_processed
     assert first.fault_stats == second.fault_stats
     assert first.report.render() == second.report.render()
+    # Literals recorded on the commit before the workload beds
+    # (repro/beds.py): held to the parent's run, not only to itself.
+    assert (first.digest, first.sim_now, first.events_processed) == (
+        "f27d24ed2aab6d8ab8cbafd19441fff2c28271c28a854286625022c83931e9ff",
+        0.3646182814451696, 683726)
 
 
 def test_different_plan_seed_diverges():
@@ -47,8 +52,8 @@ def test_different_plan_seed_diverges():
 def test_noop_plan_leaves_pinned_timestamps_bit_identical():
     """Chaos disabled == chaos absent: installing an empty FaultPlan on
     the reference scenario reproduces the exact pinned values."""
-    scenario = MigrationScenario(num_qps=16)
-    plan = FaultPlan(seed=999).install(scenario.tb)
+    scenario = reference_bed()
+    plan = FaultPlan(seed=999).install(scenario)
     rng_before = plan.rng.getstate()
     report = scenario.run_migration()
     phases = dict(report.breakdown.ordered())
@@ -59,6 +64,6 @@ def test_noop_plan_leaves_pinned_timestamps_bit_identical():
     assert phases["DumpOthers"] == EXPECTED["DumpOthers"]
     assert phases["Transfer"] == EXPECTED["Transfer"]
     assert phases["FullRestore"] == EXPECTED["FullRestore"]
-    assert scenario.tb.sim.now == EXPECTED["final_now"]
+    assert scenario.sim.now == EXPECTED["final_now"]
     assert plan.rng.getstate() == rng_before  # not one draw
     assert plan.stats.total == 0

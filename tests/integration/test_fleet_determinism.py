@@ -22,6 +22,24 @@ from repro.parallel.runners import fleet_run
 FLEET_KW = dict(racks=2, hosts_per_rack=2, containers=8, seed=7,
                 policy="drain", target="rack0")
 
+#: Literal (digest, fleet_digest, sim_now, events_processed, drain_s) at
+#: concurrency 1 and 2, recorded on the commit before the workload beds
+#: (repro/beds.py, Fleet.run_policy): a refactor is held to these values,
+#: not merely to agreeing with itself.
+PINNED = {
+    1: ("bd6b7fc795f9b9d1466e388e08a8ad069b6185633a9a293dba0b6fd3c8338fc8",
+        "f27aa49fbedd03cdc95b1ef8d2d9bef896d7e726712e2e35b4163603aadbe56e",
+        0.517587609599976, 157744, 0.503999999999976),
+    2: ("edff1fe54b54b898d6b01af6353ab84dbdaf24d93f7038b78893811f67342d97",
+        "a953db0a0c0cbfa62a90404b67cddbc1b7e38f60b5b0379dee1b3a8ab2df8e77",
+        0.26598760960000367, 74725, 0.25240000000000373),
+}
+
+
+def _pin(row):
+    return (row["digest"], row["fleet_digest"], row["sim_now"],
+            row["events_processed"], row["drain_s"])
+
 
 def test_fleet_digests_identical_across_jobs():
     specs = [TaskSpec("repro.parallel.runners.fleet_run",
@@ -39,6 +57,7 @@ def test_fleet_digests_identical_across_jobs():
         assert seq.value["events_processed"] == par.value["events_processed"]
         assert seq.value["drain_s"] == par.value["drain_s"]
         assert seq.value["invariants_ok"], seq.value["violations"]
+        assert _pin(seq.value) == PINNED[seq.value["concurrency"]]
     # Different concurrency levels are genuinely different runs.
     assert sequential[0].value["digest"] != sequential[1].value["digest"]
 

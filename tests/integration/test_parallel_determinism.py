@@ -13,6 +13,21 @@ from repro.parallel import TaskSpec, run_tasks
 SEED = 7
 RUNS = 2
 
+#: Literal (digest, sim_now, events_processed) of the two torture cases and
+#: (sim_now, events_processed, blackout_s) of the two runner points, recorded
+#: on the commit before the workload beds (repro/beds.py): a refactor is
+#: held to these values, not merely to agreeing with itself.
+PINNED_TORTURE = [
+    ("2a7da528212011315c98ebb24d07530656b926b0be882d3f872b99a6c9a42e00",
+     0.04743175451200455, 57920),
+    ("aaa845d13418638a390ed0e43384da4ab0db83aa37466ba11d0ceb34647111d1",
+     0.33841337463785687, 391864),
+]
+PINNED_RUNNER = [
+    (0.10765376459031428, 192713, 0.06779114491031372),
+    (0.11144066403745688, 237355, 0.06783333723745213),
+]
+
 
 def test_torture_digests_identical_across_jobs():
     sequential = torture_sweep(SEED, RUNS, scenarios="perftest", jobs=1)
@@ -26,6 +41,8 @@ def test_torture_digests_identical_across_jobs():
     assert [o.fault_stats for o in sequential] == [o.fault_stats for o in parallel]
     # Digests are non-trivial (not colliding, not empty).
     assert len({o.digest for o in sequential}) == RUNS
+    assert [(o.digest, o.sim_now, o.events_processed)
+            for o in sequential] == PINNED_TORTURE
 
 
 def test_runner_simulated_time_fields_identical_across_jobs():
@@ -43,3 +60,5 @@ def test_runner_simulated_time_fields_identical_across_jobs():
         assert seq.value["events_processed"] == par.value["events_processed"]
         assert seq.value["blackout_s"] == par.value["blackout_s"]
         assert seq.value["phases"] == par.value["phases"]
+    assert [(r.value["sim_now"], r.value["events_processed"],
+             r.value["blackout_s"]) for r in sequential] == PINNED_RUNNER

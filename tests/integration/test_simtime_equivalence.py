@@ -4,18 +4,22 @@ The simulation kernel and RNIC fast paths (event pooling, CQE batching,
 batched doorbells, translation memoization) are pure wall-clock
 optimizations: with a fixed seed they must not move a single simulated
 timestamp.  This test pins the full blackout breakdown of
-``MigrationScenario(num_qps=16)`` to the exact values the model produced
+:func:`reference_bed` (16 QPs, 64 KiB WRITEs) to the exact values the model produced
 before those fast paths landed — any drift (even in the last ulp) means
 an optimization changed the event order or the RNG stream and must be
 fixed, or these constants consciously re-pinned alongside a model change.
 """
 
-import sys
-from pathlib import Path
+from repro.beds import PerftestBed
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
-from bench_common import MigrationScenario  # noqa: E402
+def reference_bed(config=None) -> PerftestBed:
+    """The reference scenario, set up and connected (what the benchmarks
+    call ``MigrationScenario(num_qps=16)``)."""
+    bed = PerftestBed(16, config=config)
+    bed.run(bed.setup())
+    return bed
+
 
 #: Exact (==, not approx) expected values for the default seed.
 EXPECTED = {
@@ -30,7 +34,7 @@ EXPECTED = {
 
 
 def test_reference_migration_simulated_time_pinned():
-    scenario = MigrationScenario(num_qps=16)
+    scenario = reference_bed()
     report = scenario.run_migration()
     phases = dict(report.breakdown.ordered())
 
@@ -41,16 +45,16 @@ def test_reference_migration_simulated_time_pinned():
     assert phases["Transfer"] == EXPECTED["Transfer"]
     assert phases["FullRestore"] == EXPECTED["FullRestore"]
     assert "RestoreRDMA" not in phases  # presetup scenario
-    assert scenario.tb.sim.now == EXPECTED["final_now"]
+    assert scenario.sim.now == EXPECTED["final_now"]
 
 
 def test_reference_migration_is_deterministic():
     runs = []
     for _ in range(2):
-        scenario = MigrationScenario(num_qps=16)
+        scenario = reference_bed()
         report = scenario.run_migration()
-        runs.append((report.blackout_s, scenario.tb.sim.now,
-                     scenario.tb.sim.events_processed))
+        runs.append((report.blackout_s, scenario.sim.now,
+                     scenario.sim.events_processed))
     assert runs[0] == runs[1]
 
 
@@ -60,8 +64,8 @@ def test_tracing_enabled_leaves_simulated_time_bit_identical():
     exactly (==) what the untraced run produces."""
     from repro.obs import Tracer
 
-    scenario = MigrationScenario(num_qps=16)
-    tracer = Tracer(scenario.tb.sim).attach()
+    scenario = reference_bed()
+    tracer = Tracer(scenario.sim).attach()
     report = scenario.run_migration()
     phases = dict(report.breakdown.ordered())
 
@@ -71,7 +75,7 @@ def test_tracing_enabled_leaves_simulated_time_bit_identical():
     assert phases["DumpOthers"] == EXPECTED["DumpOthers"]
     assert phases["Transfer"] == EXPECTED["Transfer"]
     assert phases["FullRestore"] == EXPECTED["FullRestore"]
-    assert scenario.tb.sim.now == EXPECTED["final_now"]
+    assert scenario.sim.now == EXPECTED["final_now"]
 
     # And it actually recorded the migration: every instrumented layer
     # contributed at least one lane.
@@ -84,19 +88,17 @@ def test_tracing_enabled_leaves_simulated_time_bit_identical():
 
 def _full_observables(config=None):
     """Every simulated-time observable the fast paths must not move."""
-    from repro.config import default_config
-
-    scenario = MigrationScenario(num_qps=16, config=config or default_config())
+    scenario = reference_bed(config)
     report = scenario.run_migration()
-    sim = scenario.tb.sim
+    sim = scenario.sim
     nics = [(s.rnic.tx_bytes, s.rnic.rx_bytes, s.rnic.tx_msgs, s.rnic.rx_msgs)
-            for s in scenario.tb.servers]
+            for s in scenario.servers]
     return {
         "blackout_s": report.blackout_s,
         "final_now": sim.now,
         "events_processed": sim.events_processed,
         "events_cancelled": sim.events_cancelled,
-        "messages_sent": scenario.tb.network.messages_sent,
+        "messages_sent": scenario.network.messages_sent,
         "nics": nics,
     }, scenario
 
@@ -139,11 +141,11 @@ def test_flow_aggregation_bit_identical(monkeypatch):
     assert flow == packet
     assert flow["blackout_s"] == EXPECTED["blackout_s"]
     assert flow["final_now"] == EXPECTED["final_now"]
-    expressed = sum(s.rnic.flow_expressed for s in flow_scn.tb.servers)
-    credited = flow_scn.tb.sim.events_credited
+    expressed = sum(s.rnic.flow_expressed for s in flow_scn.servers)
+    credited = flow_scn.sim.events_credited
     assert expressed > 1000
-    assert sum(s.rnic.flow_expressed for s in packet_scn.tb.servers) == 0
-    packet_credited = packet_scn.tb.sim.events_credited
+    assert sum(s.rnic.flow_expressed for s in packet_scn.servers) == 0
+    packet_credited = packet_scn.sim.events_credited
     assert packet_credited - idle_polls[0] == sum(
-        1 for sim in cb_only_sims if sim is packet_scn.tb.sim) > 0
+        1 for sim in cb_only_sims if sim is packet_scn.sim) > 0
     assert credited - packet_credited > 2 * 1000

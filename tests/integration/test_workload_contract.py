@@ -10,7 +10,6 @@ a capability without evidence is itself a violation.
 
 import pytest
 
-from repro import cluster
 from repro.apps import (
     WorkloadHarness,
     hadoop_harness,
@@ -18,35 +17,60 @@ from repro.apps import (
     run_contract,
 )
 from repro.apps.hadoop_scenarios import fast_test_config, run_scenario
-from repro.apps.kvstore import KvClient, KvServer, connect_kv
-from repro.apps.perftest import PerftestEndpoint, connect_endpoints
-from repro.chaos.torture import quiesce
-from repro.core import LiveMigration, MigrRdmaWorld
-from repro.rnic import NicQoS, TenantSpec, install_qos
+from repro.beds import KvBed, PerftestBed, checked
+from repro.fleet import build_fleet
+from repro.rnic import NicQoS, TenantSpec
 
-ITERS = 128
+ITERS = 2048
+
+
+def _round(bed, **traffic):
+    """One conformance round over the surface every bed shares:
+    setup -> start_traffic -> migrate -> quiesce."""
+    bed.run(bed.setup())
+    bed.start_traffic(**traffic)
+
+    def flow():
+        yield bed.sim.timeout(200e-6)
+        yield from bed.migrate()
+        yield bed.sim.timeout(1e-3)
+        yield from bed.quiesce()
+
+    bed.run(flow(), limit=60.0)
+    return bed
 
 
 @pytest.fixture(scope="module")
-def perftest_contract():
-    tb = cluster.build()
-    world = MigrRdmaWorld(tb)
-    sender = PerftestEndpoint(tb.source, world=world, mode="send",
-                              msg_size=4096, depth=8, verify_content=True)
-    receiver = PerftestEndpoint(tb.partners[0], world=world, mode="send",
-                                msg_size=4096, depth=8, verify_content=True)
+def perftest_bed():
+    return _round(PerftestBed(1, msg_size=4096, depth=8, mode="send",
+                              verify_content=True), iters=ITERS)
 
-    def flow():
-        yield from sender.setup(qp_budget=1)
-        yield from receiver.setup(qp_budget=1)
-        yield from connect_endpoints(sender, receiver, qp_count=1)
-        receiver.start_as_receiver()
-        sender.start_as_sender(iters=ITERS)
-        while sender.running:
-            yield tb.sim.timeout(100e-6)
 
-    tb.run(flow(), limit=30.0)
-    return perftest_harness(sender, receiver, iters=ITERS)
+@pytest.fixture(scope="module")
+def kvstore_bed():
+    """A migrated KV run: the victim client moves hosts mid-traffic."""
+    bed = _round(KvBed(seed=7, n_clients=1, keyspace=16, value_len=32, depth=2,
+                       tenants=[TenantSpec("victim", max_qps=3)]))
+    assert bed.mover.stats.gets + bed.mover.stats.puts > 0
+    return bed
+
+
+@pytest.fixture(scope="module")
+def fleet_bed():
+    """The fleet's round: its migrate step is a whole policy run (which
+    settles and quiesces itself)."""
+    fleet = build_fleet(racks=2, hosts_per_rack=2, containers=4, seed=7)
+    fleet.run(fleet.setup())
+    fleet.start_traffic()
+    report, jobs = fleet.run_policy("drain", "rack0", concurrency=2)
+    assert report.completed == len(jobs) == 2
+    return fleet
+
+
+@pytest.fixture(scope="module")
+def perftest_contract(perftest_bed):
+    return perftest_harness(perftest_bed.sender, perftest_bed.receiver,
+                            iters=ITERS)
 
 
 @pytest.fixture(scope="module")
@@ -60,50 +84,25 @@ def hadoop_contract():
 
 
 @pytest.fixture(scope="module")
-def kvstore_contract():
-    """A migrated KV run: the victim client moves hosts mid-traffic, then
-    a readback sweep proves the table it READs is still the live one."""
-    tb = cluster.build(num_partners=1)
-    world = MigrRdmaWorld(tb)
-    install_qos(tb.servers, [TenantSpec("victim", max_qps=3)])
-    kv = KvServer(tb.partners[0], name="kv", world=world, value_cap=64)
-    keys = [f"key{i:04d}" for i in range(16)]
-    client = KvClient(tb.source, kv, name="kv-c0", world=world,
-                      keyspace=keys, value_len=32, depth=2, seed=7,
-                      tenant="victim")
-
-    def setup():
-        yield from kv.setup(client_budget=1)
-        kv.preload(keys, 32)
-        yield from client.setup()
-        yield from connect_kv(kv, client)
-
-    tb.run(setup())
-    kv.start()
-    client.start()
+def kvstore_contract(kvstore_bed):
+    """The table is frozen after the quiesce, so a readback sweep from the
+    migrated client must see the last applied version of every probed key:
+    the table it READs is still the live one."""
+    bed = kvstore_bed
     freshness = []
 
-    def flow():
-        yield tb.sim.timeout(1e-3)
-        migration = LiveMigration(world, client.container, tb.destination,
-                                  presetup=True)
-        yield from migration.run()
-        # Versions applied by migration end are the freshness floor.
-        floors = {key: (kv.kv_applies.get(key) or [(0, 0.0)])[-1][0]
-                  for key in keys[:4]}
-        yield tb.sim.timeout(1e-3)
-        yield from quiesce(tb, [client, kv])
-        for key in keys[:4]:
-            got = yield from client.readback(key)
-            freshness.append((key, got[1] if got else -1, floors[key]))
+    def sweep():
+        for key in bed.keys[:4]:
+            floor = (bed.kv.kv_applies.get(key) or [(0, 0.0)])[-1][0]
+            got = yield from bed.mover.readback(key)
+            freshness.append((key, got[1] if got else -1, floor))
 
-    tb.run(flow(), limit=60.0)
-    assert client.stats.gets + client.stats.puts > 0
+    bed.run(sweep(), limit=60.0)
     return WorkloadHarness(
         name="kvstore",
         capabilities=frozenset({"accounting", "history", "cas", "freshness"}),
-        endpoints=(client, kv), kv_clients=(client,), kv_server=kv,
-        freshness_probes=tuple(freshness))
+        endpoints=tuple(bed.endpoints), kv_clients=tuple(bed.clients),
+        kv_server=bed.kv, freshness_probes=tuple(freshness))
 
 
 class TestConformance:
@@ -113,6 +112,21 @@ class TestConformance:
         assert harness.capabilities, "harness must claim something"
         violations = run_contract(harness)
         assert not violations, violations
+
+    @pytest.mark.parametrize("name", ["perftest", "kvstore", "fleet"])
+    def test_bed_round_is_clean(self, name, request):
+        """Every bed — ``Fleet`` included — hands the checkers the same
+        context, and a migrated round passes every registered invariant."""
+        bed = request.getfixturevalue(f"{name}_bed")
+        ctx = bed.context()
+        assert ctx.tb is bed and ctx.world is bed.world
+        assert ctx.endpoints == list(bed.endpoints)
+        assert ctx.pairs == list(bed.pairs)
+        assert ctx.reports and not any(r.aborted for r in ctx.reports)
+        tail = checked(ctx)
+        assert tail["invariants_ok"], tail["violations"]
+        assert len(tail["invariants_checked"]) >= 12
+        assert len(tail["digest"]) == 64
 
     def test_perftest_claims_delivery(self, perftest_contract):
         assert {"completion", "accounting",

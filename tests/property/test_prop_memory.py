@@ -155,34 +155,69 @@ def test_mremap_preserves_contents(ops, moves):
     assert space.read(addr, STORE_LEN) == bytes(reference)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["mmap", "munmap"]),
-                  st.integers(min_value=0, max_value=15),
-                  st.integers(min_value=1, max_value=4)),
+        st.tuples(st.sampled_from(["mmap", "mmap", "mmap_any", "mremap", "munmap"]),
+                  st.integers(min_value=0, max_value=47),
+                  st.integers(min_value=1, max_value=6)),
         min_size=1, max_size=40,
     )
 )
 def test_address_space_never_overlaps(ops):
-    """No operation sequence can produce overlapping VMAs."""
+    """No operation sequence can produce overlapping VMAs.  A fixed-address
+    ``mmap`` / ``mremap`` is rejected exactly when a linear scan over a
+    model of the live ranges says it overlaps (and a rejected ``mremap``
+    leaves the VMA where it was), a hint-free ``mmap`` lands clear of all
+    of them, and ``vmas`` stays sorted and disjoint after every step.
+    Fixed placements sit at page granularity on the hint-free region, so
+    partial overlaps and the free-slot search meet."""
     space = AddressSpace("prop")
-    base = 0x2000_0000
-    for op, slot, pages in ops:
-        addr = base + slot * 16 * PAGE_SIZE
+    base = AddressSpace.MMAP_BASE
+    model = []  # live (start, end) ranges, in creation order
+
+    def clashes(start, end, ignore=None):
+        return any(s < end and start < e for s, e in model if (s, e) != ignore)
+
+    for op, page, pages in ops:
+        addr = base + page * PAGE_SIZE
+        length = pages * PAGE_SIZE
         if op == "mmap":
-            try:
-                space.mmap(pages * PAGE_SIZE, addr=addr)
-            except MemoryError_:
-                pass
-        else:
-            try:
+            if clashes(addr, addr + length):
+                with pytest.raises(MemoryError_):
+                    space.mmap(length, addr=addr)
+            else:
+                assert space.mmap(length, addr=addr).start == addr
+                model.append((addr, addr + length))
+        elif op == "mmap_any":
+            vma = space.mmap(length)
+            assert vma.length == length
+            assert not clashes(vma.start, vma.end)
+            model.append((vma.start, vma.end))
+        elif op == "mremap" and model:
+            old = model[page % len(model)]
+            size = old[1] - old[0]
+            if clashes(addr, addr + size, ignore=old):
+                with pytest.raises(MemoryError_):
+                    space.mremap(old[0], addr)
+            else:
+                space.mremap(old[0], addr)
+                model[model.index(old)] = (addr, addr + size)
+        elif op == "munmap":
+            live = [r for r in model if r[0] == addr]
+            if live:
                 space.munmap(addr)
-            except MemoryError_:
-                pass
+                model.remove(live[0])
+            else:
+                with pytest.raises(MemoryError_):
+                    space.munmap(addr)
         vmas = space.vmas
+        assert [(v.start, v.end) for v in vmas] == sorted(model)
         for a, b in zip(vmas, vmas[1:]):
             assert a.end <= b.start
+        for start, end in model:
+            assert space.find(start).start == start
+            assert space.find(end - 1).start == start
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import cluster
 from repro.config import PAGE_SIZE
-from repro.core.orchestrator import MigrationReport
+from repro.core.orchestrator import MigrationReport, presetup_budget_s
 from repro.migration import CriuEngine, Runc
 from repro.migration.images import ContainerImage, ProcessImage
 
@@ -72,3 +72,20 @@ class TestMigrationReport:
         report = MigrationReport()
         assert not report.aborted
         assert not report.wbs_timed_out
+
+
+class TestPresetupBudget:
+    """The pre-setup deadline follows the fan-out (~1.4 ms of serial
+    firmware time per partner QP), so no runner has to override it."""
+
+    def test_default_deadline_holds_below_the_knee(self):
+        partners = {"partner0": list(range(100))}
+        assert presetup_budget_s(2.0, partners) == 2.0
+
+    def test_budget_scales_with_total_partner_qps(self):
+        assert presetup_budget_s(2.0, {"partner0": list(range(4096))}) == 6.144
+        split = {"a": list(range(1024)), "b": list(range(3072))}
+        assert presetup_budget_s(2.0, split) == 6.144
+
+    def test_no_partners_keeps_the_configured_deadline(self):
+        assert presetup_budget_s(2.0, {}) == 2.0
