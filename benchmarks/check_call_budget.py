@@ -10,9 +10,8 @@ result of the traced run.  Counts repeat exactly on one Python version, so
 they are gated where host times are not:
 
 * the run is correct and ``sim.events_processed`` is the pinned count,
-* the elided dispatches are credited, not dispatched (``fleet_drain``: the
-  listener-less wire-done events; ``kv_noisy``: the idle polls of parked
-  loops on top),
+* the elided dispatches are credited, not dispatched (the listener-less
+  wire-done events; on ``kv_noisy`` the idle polls of parked loops on top),
 * the summed per-layer ``*.calls`` stays within the budget plus 5 %
   headroom (CPython patch releases move a few builtin call counts).
 """
@@ -25,6 +24,8 @@ import sys
 
 #: workload -> (sim.events_processed, min sim.events_credited, *.calls budget)
 BUDGETS = {
+    "migrate_ref": (98_955, 358, 2_380_000),
+    "migrate_fanout": (783_513, 6_753, 19_100_000),
     "fleet_drain": (154_323, 23_000, 2_530_000),
     "kv_noisy": (369_787, 110_000, 8_600_000),
 }

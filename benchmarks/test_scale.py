@@ -76,9 +76,6 @@ def test_scale_invariants_and_events_per_sec():
                 "wbs_elapsed_us": round(point["wbs_elapsed_us"], 2),
                 "invariants_ok": point["invariants_ok"],
                 "events_credited": point["events_credited"],
-                "flow_expressed": point["flow_expressed"],
-                "flow_fallbacks": point["flow_fallbacks"],
-                "flow_materialized": point["flow_materialized"],
             }
             for index, point in enumerate(points)
         ],

@@ -509,11 +509,6 @@ class FaultPlan:
             raise RuntimeError(
                 "another fault injector is already installed on this network "
                 "(stale chaos state leaking between scenarios?)")
-        # De-aggregate before any rule can see traffic: express-lane
-        # reservations made while the network was clean are turned back
-        # into packet-level events so the plan's windows observe every
-        # message individually.
-        network.flow_invalidate_all()
         network.fault_injector = _FabricInjector(self)
         for server in getattr(tb, "servers", []):
             chaos = _RnicChaos(self, server.name)
@@ -566,7 +561,6 @@ class FaultPlan:
         network = tb.network if hasattr(tb, "network") else tb
         injector = network.fault_injector
         if isinstance(injector, _FabricInjector) and injector.plan is self:
-            network.flow_invalidate_all()
             network.fault_injector = None
         for server in getattr(tb, "servers", []):
             chaos = server.rnic.chaos

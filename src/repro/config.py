@@ -227,11 +227,6 @@ class Config:
     migration: MigrationConfig = field(default_factory=MigrationConfig)
     hadoop: HadoopConfig = field(default_factory=HadoopConfig)
     seed: int = 20250908  # SIGCOMM '25 opening day
-    #: Flow-level aggregation of clean-window bulk RC traffic (DESIGN.md
-    #: §12).  Pure wall-clock optimization — simulated timestamps, counters
-    #: and digests are bit-identical either way; ``False`` forces the
-    #: packet-level path everywhere (the equivalence tests' reference).
-    flow_aggregation: bool = True
 
     def replace(self, **kwargs) -> "Config":
         return replace(self, **kwargs)

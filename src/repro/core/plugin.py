@@ -15,19 +15,33 @@ Bridges the live-migration tool and the indirection layer:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster import Container, Server
 from repro.core.host_lib import HostLib, RestorePlan
 from repro.core.indirection import ProcessRdmaState
-from repro.core.records import RECORD_BYTES
+from repro.core.records import RECORD_BYTES, ResourceRecord
 from repro.core.world import MigrRdmaWorld
+from repro.mem import AddressSpace, MemoryError_
 from repro.migration.criu import CriuPlugin, RestoreSession
 from repro.migration.images import ProcessImage
 
 #: Serialized size of the stop-and-copy virtualization info per resource
 #: (virtual QPNs, virtual key table rows).
 VIRT_INFO_BYTES = 24
+
+
+def mr_memory_unmapped(space: AddressSpace, record: ResourceRecord) -> bool:
+    """Pre-setup defers an MR registration whose memory is not at its
+    original address yet.  Only an unmapped range means that; any other
+    error is a malformed record and propagates."""
+    args = record.args
+    try:
+        space.find_range(args["addr"], args["length"])
+    except MemoryError_:
+        return True
+    return False
 
 
 class MigrRdmaPlugin(CriuPlugin):
@@ -155,17 +169,8 @@ class MigrRdmaPlugin(CriuPlugin):
         agent = self.world.agent(self.dest.name)
         for pid, state in self._states_for_session(session):
             dest_process = session.processes[pid]
-
-            def defer(record, _proc=dest_process):
-                if not defer_conflicts:
-                    return False
-                args = record.args
-                try:
-                    _proc.space.find_range(args["addr"], args["length"])
-                except Exception:
-                    return True  # memory not at its original address yet
-                return False
-
+            defer = (partial(mr_memory_unmapped, dest_process.space)
+                     if defer_conflicts else None)
             plan = yield from self.host_lib.restore_process(state, dest_process, defer)
             self.plans[pid] = plan
             agent.register_plan(state.service_id, plan)

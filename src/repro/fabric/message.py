@@ -8,16 +8,13 @@ or the migration control plane).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
-
-_message_ids = itertools.count(1)
 
 
 class Message:
     """A unit of transmission on the fabric."""
 
-    __slots__ = ("src", "dst", "protocol", "size_bytes", "payload", "msg_id")
+    __slots__ = ("src", "dst", "protocol", "size_bytes", "payload")
 
     def __init__(self, src: str, dst: str, protocol: str, size_bytes: int,
                  payload: Any = None):
@@ -28,10 +25,6 @@ class Message:
         self.protocol = protocol
         self.size_bytes = size_bytes
         self.payload = payload
-        self.msg_id = next(_message_ids)
 
     def __repr__(self) -> str:
-        return (
-            f"<Message #{self.msg_id} {self.src}->{self.dst} "
-            f"proto={self.protocol} {self.size_bytes}B>"
-        )
+        return f"<Message {self.src}->{self.dst} proto={self.protocol} {self.size_bytes}B>"

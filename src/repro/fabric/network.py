@@ -81,10 +81,6 @@ class Network:
         #: scoped fault hook (see :mod:`repro.chaos.plan`): consulted per
         #: in-flight message; ``None`` keeps the unfaulted fast path.
         self.fault_injector = None
-        #: master switch for the RNIC express lane (flow-level aggregation
-        #: of clean-window bulk traffic); any fault source disables it at
-        #: the per-WR gate independently of this flag.
-        self.flow_aggregation = getattr(self.config, "flow_aggregation", True)
         #: optional multi-hop routing (see :mod:`repro.fabric.topology`);
         #: ``None`` keeps the flat one-hop switch, byte-identical to the
         #: paper's testbed.  Installed via ``FatTreeTopology.attach``.
@@ -102,16 +98,6 @@ class Network:
             return self.nodes[name]
         except KeyError:
             raise LookupError(f"unknown node {name!r}") from None
-
-    def flow_invalidate_all(self) -> None:
-        """De-aggregation hook: turn every pending express-lane reservation
-        back into packet-level events.  Called whenever a fault source is
-        armed (or disarmed) network-wide, so chaos and torture runs observe
-        packet-for-packet identical traffic."""
-        for node in self.nodes.values():
-            lane = node.port.flow_lane
-            if lane is not None:
-                lane.materialize("fault-window")
 
     def reset_faults(self) -> None:
         """Uninstall the fault injector.  Scenario teardown calls this so

@@ -42,12 +42,6 @@ class Port:
         #: (>= 1.0); used to model NIC-internal contention during
         #: control-path bursts (Figure 5 brownout dips).
         self.contention_factor = None
-        #: Express-lane reservation (see ``repro.rnic.nic._FlowLane``):
-        #: while bulk RC traffic is aggregated at flow level, the acks it
-        #: elides notionally occupy this port.  Any foreign transmission
-        #: forces those reservations back into packet-level port items
-        #: before it is queued, so contention stays exact.
-        self.flow_lane = None
 
     @property
     def bytes_sent(self) -> int:
@@ -94,23 +88,11 @@ class Port:
         self._enqueue((size_bytes, on_wire_done, cb_args, _DEFERRED))
 
     def _enqueue(self, item: tuple) -> None:
-        lane = self.flow_lane
-        if lane is not None:
-            lane.materialize("port-conflict")
         if self._active:
             self._pending.append(item)
         else:
             self._active = True
             self._begin(item)
-
-    def occupy_until(self, time: float, on_wire_done: Callable, *cb_args) -> None:
-        """Hold the (idle) port busy until absolute ``time``, then dispatch
-        ``on_wire_done(*cb_args)`` like :meth:`transmit_deferred` would.
-        Express-lane de-aggregation puts an ack that is notionally still
-        serializing back on the port this way, so foreign traffic queues
-        behind it; its bytes were booked already, hence a zero-byte item."""
-        self._active = True
-        self.sim.schedule_at(time, self._finish, (0, on_wire_done, cb_args, _DEFERRED))
 
     def _begin(self, item: tuple) -> None:
         size_bytes = item[0]

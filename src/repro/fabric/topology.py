@@ -28,9 +28,7 @@ the oversubscription lives at the ToR).  Routing is then:
 
 :meth:`FatTreeTopology.attach` hooks the topology into a ``Network``;
 ``Network._propagate`` then routes every message (including raw RNIC
-traffic) through :meth:`route`.  Attaching disables flow-level
-aggregation: the express lane computes delivery times from the sender's
-port alone, which is unsound once messages queue on shared trunks.
+traffic) through :meth:`route`.
 
 The per-trunk ``Port``s expose byte counters and backlog, which is what
 fleet reporting (``FleetReport`` per-link utilisation) and the chaos
@@ -103,11 +101,6 @@ class FatTreeTopology:
             raise RuntimeError("network already has a topology attached")
         if self.network is not None:
             raise RuntimeError("topology already attached to a network")
-        # Flow-level aggregation's express lane derives delivery time from
-        # the sender's port alone; multi-hop trunk queueing breaks that
-        # closed form, so the fleet path runs per-message.
-        network.flow_aggregation = False
-        network.flow_invalidate_all()
         network.topology = self
         self.network = network
         self._attached_at = self.sim.now

@@ -267,12 +267,8 @@ def scale_run(num_qps: int, msg_size: int = 65536, depth: int = 8,
         "blackout_ms": report.blackout_s * 1e3,
         "wbs_elapsed_us": report.wbs_elapsed_s * 1e6,
         **tail,
-        # Speed-path accounting (never digested): how many events the
-        # express lane absorbed.
+        # Speed-path accounting (never digested): dispatches elided exactly.
         "events_credited": sim.events_credited,
-        "flow_expressed": sum(s.rnic.flow_expressed for s in bed.servers),
-        "flow_fallbacks": sum(s.rnic.flow_fallbacks for s in bed.servers),
-        "flow_materialized": sum(s.rnic.flow_materialized for s in bed.servers),
     }
 
 
@@ -525,5 +521,4 @@ def simperf_round(num_qps: int, msg_size: int = 65536,
         "events_per_sec": sim.events_processed / wall_s if wall_s else 0.0,
         "blackout_ms": report.blackout_s * 1e3,
         "events_credited": sim.events_credited,
-        "flow_expressed": sum(s.rnic.flow_expressed for s in bed.servers),
     }

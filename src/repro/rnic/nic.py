@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections import deque
 from typing import Dict, Optional, Tuple
 
 from repro.config import Config, QPN_SPACE
@@ -88,231 +87,12 @@ class _ConnState:
         self.replies: Dict[int, dict] = {}  # ssn -> last reply payload (for dup re-ack)
 
 
-#: _FlowRecord lifecycle: request notionally in flight (X1 pending) →
-#: ack notionally in flight (X2 pending) → done.
-_FLOW_DELIVER = 0
-_FLOW_ACK = 1
-
-
-class _FlowRecord:
-    """One aggregated RC WRITE in flight on an express lane."""
-
-    __slots__ = ("qp", "wr", "ssn", "data", "size", "payload", "conn_key",
-                 "t_deliver", "t_ack_done", "t_ack_deliver", "t_rto",
-                 "state", "entry")
-
-
-class _FlowLane:
-    """Flow-level aggregation of clean-window bulk RC WRITE traffic.
-
-    The packet-level model spends five scheduler events per acknowledged
-    WRITE after its request leaves the wire: request delivery, ack
-    wire-done, ack send bookkeeping, ack delivery, and CQE flush.  On a
-    link with no fault window, no chaos scope, no control-path activity
-    and an idle responder, every one of those timestamps is a closed-form
-    function of the request's wire-done instant — so the lane precomputes
-    them (with the *same* float operations the packet path would perform)
-    and replays the side effects with two events instead of four, crediting
-    the difference through :meth:`~repro.sim.Simulator.credit_events`.
-    Memory writes, CQE batching, completion delivery and counters all run
-    through the real code paths at the exact packet-level instants.
-
-    De-aggregation is conservative: the moment anything could perturb the
-    precomputed future — a foreign transmission wanting the responder's
-    port, a control command on the responder, responder rx backlog, or a
-    fault plan arming anywhere — :meth:`materialize` turns every pending
-    record back into ordinary packet-level events *at their original
-    timestamps*, arms the elided retransmission timers with their original
-    expiries, and lets the slow path take over mid-flight.  Chaos and
-    torture runs therefore observe traffic packet-for-packet identical to
-    a build without the lane (see DESIGN.md §12).
-    """
-
-    __slots__ = ("src", "dst", "port", "records", "conn_pending",
-                 "last_ack_done")
-
-    def __init__(self, src_nic: "RNIC", dst_nic: "RNIC"):
-        self.src = src_nic
-        self.dst = dst_nic
-        self.port = dst_nic.node.port
-        self.records: deque = deque()
-        #: conn_key -> number of records whose delivery (and therefore
-        #: responder-side ``expected_ssn`` advance) is still pending; lets
-        #: the per-WR gate validate SSNs for pipelined WRs.
-        self.conn_pending: Dict[Tuple[str, int], int] = {}
-        self.last_ack_done = -1.0
-
-    # -- scheduled hot-path events ------------------------------------
-
-    def _deliver(self, record: _FlowRecord) -> None:
-        """X1 — the request reaches the responder (packet event: delivery).
-
-        Replays the responder fast path for the precomputed happy case;
-        anything surprising falls back to the real responder code on the
-        spot, with the elided retransmission timer re-armed at its
-        original expiry, so NAK/drop/re-ack semantics stay packet-exact.
-        """
-        dst = self.dst
-        sim = dst.sim
-        src_name = self.src.node.name
-        qp = record.qp
-        if dst._rx_backlog or sim.now < dst._control_busy_until:
-            # Should have been materialized by the backlog/control hooks;
-            # queue like the packet path would (counted by the rx worker).
-            self._drop_from_lane(record)
-            self._arm_rto(record)
-            dst._rx_backlog += 1
-            dst._rx_queue.put((src_name, record.size, record.payload))
-            return
-        dst.rx_bytes += record.size
-        dst.rx_msgs += 1
-        dst_qp = dst.qps.get(qp.remote_qpn)
-        conn = dst._conn_state.get(record.conn_key)
-        mr = None
-        if (dst_qp is not None and not dst_qp.destroyed
-                and dst_qp.state.can_receive()
-                and dst_qp.remote_node == src_name
-                and dst_qp.remote_qpn == qp.qpn
-                and conn is not None and conn.expected_ssn == record.ssn):
-            try:
-                mr = dst._lookup_remote(record.wr.rkey, record.wr.remote_addr,
-                                        len(record.data), "write")
-            except AccessError:
-                mr = None
-        if mr is None:
-            # Surprise (stale QP, rebound window, …): run the real
-            # responder path — it drops / NAKs / re-acks exactly like the
-            # packet model — and put the requester back on the slow path.
-            self._drop_from_lane(record)
-            self._arm_rto(record)
-            self.src.flow_fallbacks += 1
-            dst._handle_request(src_name, record.payload)
-            return
-        mr.space.write(record.wr.remote_addr, record.data)
-        conn.expected_ssn += 1
-        conn.replies[record.ssn] = {"kind": "ack", "dst_qpn": qp.qpn,
-                                    "ssn": record.ssn}
-        if len(conn.replies) > 256:
-            for old in sorted(conn.replies)[:-128]:
-                del conn.replies[old]
-        key = record.conn_key
-        left = self.conn_pending[key] - 1
-        if left:
-            self.conn_pending[key] = left
-        else:
-            del self.conn_pending[key]
-        # Ack egress accounting.  The packet model books these at ack
-        # wire-done, one ACK serialization (46 B, sub-ns at line rate)
-        # later — inside the same sampler tick for any sane interval.
-        self.port._bytes_sent += ACK_BYTES
-        dst.tx_bytes += ACK_BYTES
-        dst.tx_msgs += 1
-        dst.node.network.messages_sent += 1
-        record.state = _FLOW_ACK
-        record.entry = sim.schedule_at(record.t_ack_deliver,
-                                       self._complete, record)
-
-    def _complete(self, record: _FlowRecord) -> None:
-        """X2 — the ack reaches the requester (packet event: delivery).
-
-        Credits the two elided plumbing events (ack wire-done + ack send
-        bookkeeping) and the elided retransmission-timer cancel.
-        """
-        src = self.src
-        self.records.remove(record)
-        if not self.records:
-            self.port.flow_lane = None
-        src.rx_bytes += ACK_BYTES
-        src.rx_msgs += 1
-        qp = record.qp
-        if src.qps.get(qp.qpn) is qp:
-            src._ack_progress(qp, record.ssn, WCStatus.SUCCESS)
-        src.sim.credit_events(processed=2, cancelled=1)
-
-    # -- de-aggregation ------------------------------------------------
-
-    def materialize(self, reason: str) -> None:
-        """Turn every pending reservation back into packet-level events.
-
-        Request deliveries and ack wire-dones are re-scheduled at their
-        *original* precomputed timestamps (``schedule_at``, no float
-        re-rounding); acks already past the port keep their exact in-lane
-        completion.  Idempotent, and safe to call at any instant.
-        """
-        dst = self.dst
-        sim = dst.sim
-        now = sim.now
-        keep = []
-        for record in self.records:
-            if record.state == _FLOW_ACK and record.t_ack_done <= now:
-                keep.append(record)  # ack already on the wire: exact as-is
-                continue
-            sim.discard(record.entry)
-            self._arm_rto(record)
-            self.src.flow_materialized += 1
-            if record.state == _FLOW_DELIVER:
-                key = record.conn_key
-                left = self.conn_pending[key] - 1
-                if left:
-                    self.conn_pending[key] = left
-                else:
-                    del self.conn_pending[key]
-                sim.schedule_at(record.t_deliver, dst.node.deliver, Message(
-                    self.src.node.name, dst.node.name, RDMA_PROTOCOL,
-                    record.size, record.payload))
-            else:
-                # The ack is still serializing: occupy the responder's
-                # port with a synthetic in-flight item finishing at the
-                # precomputed wire-done, so foreign traffic queues behind
-                # it exactly like behind the real ack.
-                self.port.occupy_until(record.t_ack_done,
-                                       self._ack_propagate, record)
-        self.records.clear()
-        self.records.extend(keep)
-        if not keep:
-            self.port.flow_lane = None
-
-    def _ack_propagate(self, record: _FlowRecord) -> None:
-        # Packet-level ack injection at wire-done: from here the fabric —
-        # including any fault injector installed since the reservation was
-        # made — treats it exactly like any other in-flight message.
-        # (messages_sent was already booked when the record was created.)
-        dst = self.dst
-        dst.node.network._propagate(Message(
-            dst.node.name, self.src.node.name, RDMA_PROTOCOL, ACK_BYTES,
-            {"kind": "ack", "dst_qpn": record.qp.qpn, "ssn": record.ssn}))
-
-    def _drop_from_lane(self, record: _FlowRecord) -> None:
-        self.records.remove(record)
-        key = record.conn_key
-        left = self.conn_pending[key] - 1
-        if left:
-            self.conn_pending[key] = left
-        else:
-            del self.conn_pending[key]
-        if not self.records:
-            self.port.flow_lane = None
-
-    def _arm_rto(self, record: _FlowRecord) -> None:
-        """Arm the retransmission timer the express path elided, with its
-        original expiry — the requester is back on the packet path."""
-        src = self.src
-        qp = record.qp
-        if qp.destroyed or record.ssn not in qp.sq_inflight:
-            # The packet model's timer would already have been cancelled
-            # during teardown/flush; keep the cancel count exact.
-            src.sim.credit_events(cancelled=1)
-            return
-        entries = qp.rto_entries
-        old = entries.get(record.ssn)
-        if old is not None:
-            src.sim.cancel(old)
-        entries[record.ssn] = src.sim.schedule_at(
-            record.t_rto, src._rto_expired, qp, record.ssn)
-
-
 class RNIC:
     """One RDMA NIC attached to a fabric node."""
+
+    # Always 0: the frozen benchmarks/perf/scenarios.py reads them until a
+    # later benchmark change drops those rows.
+    flow_expressed = flow_fallbacks = flow_materialized = 0
 
     def __init__(self, sim: Simulator, node: Node, config: Config):
         self.sim = sim
@@ -372,13 +152,6 @@ class RNIC:
         self.rx_bytes = 0
         self.tx_msgs = 0
         self.rx_msgs = 0
-
-        # Express-lane state (flow-level aggregation, DESIGN.md §12):
-        # one lane per destination node, plus wall-clock-only counters.
-        self._flow_lanes: Dict[str, _FlowLane] = {}
-        self.flow_expressed = 0
-        self.flow_fallbacks = 0
-        self.flow_materialized = 0
 
         node.register_handler(RDMA_PROTOCOL, self._on_message)
         node.port.contention_factor = self._tx_contention_factor
@@ -460,12 +233,6 @@ class RNIC:
 
     def _control_cmd(self, duration: float):
         """Execute one firmware command, marking the NIC control-busy."""
-        lane = self.node.port.flow_lane
-        if lane is not None:
-            # Control-path activity perturbs rx fast-path eligibility and
-            # ack serialization from this instant on: de-aggregate before
-            # the busy window opens.
-            lane.materialize("control-cmd")
         self._control_busy_until = max(self._control_busy_until, self.sim.now + duration)
         yield self.sim.timeout(duration)
 
@@ -710,7 +477,7 @@ class RNIC:
         if qp.qp_type is QPType.UD:
             yield from self._transmit_ud(qp, wr, ssn, data)
         else:
-            yield from self._transmit_rc(qp, wr, ssn, data, express=True)
+            yield from self._transmit_rc(qp, wr, ssn, data)
 
     def _gather_check_only(self, qp: QP, wr: SendWR) -> None:
         for sge in wr.sges:
@@ -741,96 +508,17 @@ class RNIC:
         yield self.sim.timeout(self.config.rnic.completion_delivery_s)
         self._ack_progress(qp, ssn, WCStatus.SUCCESS)
 
-    def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: Payload,
-                     express: bool):
+    def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: Payload):
         """Put one RC request on the wire (first transmission and every
-        retransmission).  Only a first transmission may take the express
-        lane; a resend means the window is not clean."""
+        retransmission) and arm its retransmission timer."""
         payload = self._request_payload(qp, wr, ssn, data)
         size = self._wire_size(len(data) or wr.wire_payload_bytes)
         node = self.node
         yield node.port.transmit(size)
         self.tx_bytes += size
         self.tx_msgs += 1
-        if express and wr.opcode is Opcode.RDMA_WRITE and \
-                self._flow_express(qp, wr, ssn, data, size, payload):
-            return
         node.network.transmit_raw(node.name, qp.remote_node, size, RDMA_PROTOCOL, payload)
         self._arm_retransmit(qp, ssn)
-
-    def _flow_express(self, qp: QP, wr: SendWR, ssn: int, data: Payload,
-                      size: int, payload: dict) -> bool:
-        """Per-WR express-lane gate, checked at request wire-done.
-
-        True only when every timestamp the packet path would produce from
-        here is precomputable: clean fabric (no injector), no
-        chaos scope or control-path activity on either NIC, an idle
-        uncontended responder, matching connection epoch, and a responder
-        port free for the ack slot.  Anything else → packet path.
-        """
-        net = self.node.network
-        if (not net.flow_aggregation or net.fault_injector is not None
-                or self.chaos is not None):
-            return False
-        if self.qos is not None and self.qos.is_shaped(qp.tenant):
-            return False  # shaped tenants stay on the per-packet path
-        node = net.nodes.get(qp.remote_node)
-        handler = node._handlers.get(RDMA_PROTOCOL) if node is not None else None
-        if handler is None or getattr(handler, "__func__", None) is not RNIC._on_message:
-            return False  # unknown / wrapped / non-RNIC receiver
-        dst = handler.__self__
-        if (dst.chaos is not None or dst._rx_backlog
-                or self.sim.now < dst._control_busy_until):
-            return False
-        port = dst.node.port
-        lane = port.flow_lane
-        if lane is not None and lane.src is not self:
-            return False  # another sender holds the responder's ack slots
-        if port._active or port._pending:
-            return False
-        dst_qp = dst.qps.get(qp.remote_qpn)
-        if (dst_qp is None or dst_qp.destroyed or not dst_qp.state.can_receive()
-                or dst_qp.remote_node != self.node.name
-                or dst_qp.remote_qpn != qp.qpn):
-            return False
-        conn_key = (self.node.name, qp.qpn)
-        conn = dst._conn_state.get(conn_key)
-        if conn is None:
-            conn = dst._conn_state[conn_key] = _ConnState()
-        if lane is None:
-            lane = self._flow_lanes.get(qp.remote_node)
-            if lane is None or lane.dst is not dst:
-                lane = _FlowLane(self, dst)
-                self._flow_lanes[qp.remote_node] = lane
-        if conn.expected_ssn + lane.conn_pending.get(conn_key, 0) != ssn:
-            return False
-        sim = self.sim
-        now = sim.now
-        prop = net.config.link.propagation_delay_s
-        t_deliver = now + prop  # same single addition _propagate performs
-        if lane.records and lane.last_ack_done > t_deliver:
-            return False  # previous ack still owns the port at delivery
-        record = _FlowRecord()
-        record.qp = qp
-        record.wr = wr
-        record.ssn = ssn
-        record.data = data
-        record.size = size
-        record.payload = payload
-        record.conn_key = conn_key
-        record.t_deliver = t_deliver
-        record.t_ack_done = t_deliver + ACK_BYTES * 8.0 / port.rate_bps
-        record.t_ack_deliver = record.t_ack_done + prop
-        record.t_rto = now + self._rto(qp)
-        record.state = _FLOW_DELIVER
-        net.messages_sent += 1  # the request, booked where transmit_raw would
-        record.entry = sim.schedule(prop, lane._deliver, record)
-        lane.records.append(record)
-        lane.conn_pending[conn_key] = lane.conn_pending.get(conn_key, 0) + 1
-        lane.last_ack_done = record.t_ack_done
-        port.flow_lane = lane
-        self.flow_expressed += 1
-        return True
 
     def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> dict:
         return {
@@ -878,14 +566,15 @@ class RNIC:
         """Go-back-N: resend every inflight WR with ssn >= from_ssn."""
         for ssn in sorted(s for s in qp.sq_inflight if s >= from_ssn):
             wr = qp.sq_inflight.get(ssn)
-            if wr is None or qp.state is QPState.ERR:
+            # destroy_qp cancels the RTO timers but not a pending RNR retry
+            if wr is None or qp.destroyed or qp.state is QPState.ERR:
                 return
             try:
                 data = self._gather(qp, wr)  # re-gathered: memory may have moved on
             except AccessError:
                 self._fail_connection(qp, ssn, WCStatus.LOC_PROT_ERR)
                 return
-            yield from self._transmit_rc(qp, wr, ssn, data, express=False)
+            yield from self._transmit_rc(qp, wr, ssn, data)
 
     def _fail_connection(self, qp: QP, ssn: int, status: WCStatus) -> None:
         wr = qp.sq_inflight.pop(ssn, None)
@@ -925,12 +614,6 @@ class RNIC:
                 self._handle_request(message.src, payload)
                 return
             # Counted when the (possibly contended) rx pipeline delivers it.
-            lane = self.node.port.flow_lane
-            if lane is not None:
-                # Pending express deliveries would now find a non-empty rx
-                # pipeline: put them back on the packet path so they queue
-                # behind this message exactly like the packet model.
-                lane.materialize("rx-backlog")
             self._rx_backlog += 1
             self._rx_queue.put((message.src, message.size_bytes, payload))
             return

@@ -15,7 +15,7 @@ creation:
   refilled.  One-sided READs are metered by their *response* size — the
   request is header-only but the data still occupies the victim's line.
 
-Determinism contract (mirrors ``chaos`` and ``flow_aggregation``): a NIC
+Determinism contract (mirrors ``chaos``): a NIC
 with ``qos is None`` — or a tenant with no ``rate_bps`` — takes zero new
 simulation events, so fault-free timestamps are bit-identical to a build
 without this module.  All arithmetic is plain float on simulated time;

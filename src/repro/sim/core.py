@@ -38,10 +38,11 @@ wall-clock optimisations that do not change simulated-time semantics:
   arguments instead of allocating closures.
 - ``Simulator.events_processed`` counts every executed entry; the
   ``benchmarks/test_simperf.py`` harness divides it by wall-clock time to
-  track the kernel's events/sec across PRs.  ``credit_events`` keeps that
+  track the kernel's events/sec over time.  ``credit_events`` keeps that
   count (and the run digests built on it) bit-identical wherever a
-  dispatch is elided exactly: the RNIC flow-aggregation fast path and
-  every listener-less :class:`~repro.fabric.port.Port` completion.
+  dispatch is elided exactly: every listener-less
+  :class:`~repro.fabric.port.Port` completion and every idle poll a parked
+  loop replays.
 - ``Simulator.tracer`` (normally ``None``) hooks the run loops into the
   :mod:`repro.obs` tracing subsystem: with a tracer attached the kernel
   emits wall-clock dispatch-batch spans and counter samples.  The hook is
@@ -444,34 +445,21 @@ class Simulator:
         heappush(self._heap, entry)
         return entry
 
-    def discard(self, entry: list) -> bool:
-        """Deschedule an entry without counting it as cancelled.
-
-        For retracting bookkeeping events a fast path scheduled for itself
-        (flow-aggregation placeholders): the packet-level model never knew
-        about them, so they must not show up in ``events_cancelled``.
-        """
-        if self.cancel(entry):
-            self.events_cancelled -= 1
-            return True
-        return False
-
-    def credit_events(self, processed: int = 0, cancelled: int = 0) -> None:
+    def credit_events(self, processed: int) -> None:
         """Account for events elided without dispatching.
 
-        ``events_credited`` covers every exactly-elided dispatch, not only
-        the express lane's: the flow-aggregation layer collapses per-packet
-        plumbing events, and a :class:`~repro.fabric.port.Port` completion
-        nobody listens to is credited instead of being pushed, popped and
-        run.  Either way ``events_processed`` (which feeds run digests and
-        the events/sec benchmarks) stays exactly what dispatching them
-        would have produced.  A credit lands when the elided entry would
-        have been *scheduled*, so the count runs ahead of the dispatching
-        kernel only inside one instant (DESIGN.md §12.4).
+        ``events_credited`` covers every exactly-elided dispatch: a
+        :class:`~repro.fabric.port.Port` completion nobody listens to, and
+        the idle polls a parked poll loop replays, are credited instead of
+        being pushed, popped and run.  Either way ``events_processed``
+        (which feeds run digests and the events/sec benchmarks) stays
+        exactly what dispatching them would have produced.  A credit lands
+        when the elided entry would have been *scheduled*, so the count
+        runs ahead of the dispatching kernel only inside one instant
+        (DESIGN.md §12.4).
         """
         self.events_processed += processed
         self.events_credited += processed
-        self.events_cancelled += cancelled
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self.schedule(delay, event._process_callbacks)

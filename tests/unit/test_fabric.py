@@ -116,15 +116,6 @@ class TestPortCompletionForms:
         # Only the listener-less wire-done is elided, and it is credited.
         assert (event_credited, cb_credited, deferred_credited) == (0, len(script), 0)
 
-    def test_occupy_until_holds_the_port(self, sim):
-        port = Port(sim, rate_bps=8e9)
-        log = []
-        port.occupy_until(3e-6, log.append, "ack")
-        port.transmit_cb(1000, lambda: log.append(sim.now))
-        sim.run()
-        assert log == ["ack", pytest.approx(4e-6)]
-        assert port.bytes_sent == 1000
-
 
 class TestNetwork:
     def test_delivery_includes_propagation(self, sim, net):

@@ -97,11 +97,8 @@ class TestFatTreeTopology:
         assert stats["rack0:up"]["utilization"] > 0
         assert stats["rack1:up"]["bytes"] == 0
 
-    def test_attach_disables_flow_aggregation(self, sim, net, topo):
-        assert net.flow_aggregation is False
-        assert net.topology is topo
-
     def test_double_attach_rejected(self, sim, net, topo):
+        assert net.topology is topo
         with pytest.raises(RuntimeError):
             topo.attach(net)
 

@@ -6,6 +6,9 @@ import pytest
 from repro import cluster
 from repro.core import ControlPlane, IndirectionLayer
 from repro.core.host_lib import HostLib
+from repro.core.plugin import mr_memory_unmapped
+from repro.core.records import ResourceRecord
+from repro.mem import AddressSpace
 from repro.rnic import AccessFlags, QPType
 
 
@@ -153,3 +156,28 @@ class TestRestoreProcess:
         new_dm = plan.resources[handles["dm_rid"]]
         assert new_dm.mapped_addr == src_dm.mapped_addr
         assert dst_layer.rnic.dm_allocated >= 4096
+
+
+class TestPresetupDefer:
+    """Pre-setup defers an MR registration only when its memory is not
+    mapped at the original address yet; a malformed record is a bug."""
+
+    @pytest.fixture
+    def space(self):
+        space = AddressSpace(name="dest")
+        space.mmap(8192, addr=0x10000, tag="data")
+        return space
+
+    @staticmethod
+    def _mr(**args):
+        return ResourceRecord(rid=1, kind="mr", pid=1, args=args)
+
+    def test_mapped_range_is_not_deferred(self, space):
+        assert mr_memory_unmapped(space, self._mr(addr=0x10000, length=8192)) is False
+
+    def test_unmapped_range_is_deferred(self, space):
+        assert mr_memory_unmapped(space, self._mr(addr=0x40000, length=4096)) is True
+
+    def test_malformed_record_raises(self, space):
+        with pytest.raises(KeyError):
+            mr_memory_unmapped(space, self._mr(length=4096))

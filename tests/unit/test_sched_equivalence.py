@@ -169,15 +169,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             sim.schedule_at(5e-4, lambda: None)
 
-    def test_discard_does_not_count_as_cancelled(self):
-        sim = Simulator()
-        entry = sim.schedule(1e-3, lambda: None)
-        assert sim.discard(entry) is True
-        assert sim.discard(entry) is False
-        assert sim.events_cancelled == 0
-        sim.run()
-        assert sim.events_processed == 0
-
 
 class TestOccupancyAfterCancelStorm:
     def test_storm_interleaved_with_live_traffic(self):
