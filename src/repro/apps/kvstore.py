@@ -238,10 +238,6 @@ class KvTable:
             new.put(keys_by_fp[fp], value, version)
         return new
 
-    def lock_word(self, key: str) -> int:
-        raw = self.mem.read(self.layout.lock_offset(key), 8)
-        return int.from_bytes(raw, "little")
-
 
 class BytesBacking:
     """bytearray memory backend (property tests, no simulator needed)."""

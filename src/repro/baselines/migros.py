@@ -59,11 +59,6 @@ class MigrOsModel:
         """
         return report.blackout_s + self.extra_stop_and_copy_s(num_qps)
 
-    def communication_blackout_from_migrrdma(self, report: MigrationReport,
-                                             num_qps: int) -> float:
-        """Like :meth:`blackout_from_migrrdma` for the WBS-inclusive window."""
-        return report.communication_blackout_s + self.extra_stop_and_copy_s(num_qps)
-
     def compare(self, report: MigrationReport, num_qps: int) -> dict:
         """The §6 table: MigrRDMA measured vs MigrOS predicted."""
         migros_blackout = self.blackout_from_migrrdma(report, num_qps)

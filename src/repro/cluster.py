@@ -11,9 +11,8 @@ Two assemblers build clusters on top of these parts:
   (:mod:`repro.fleet`) subclasses it to stand up racks of hosts on a
   fat-tree topology.
 * :class:`Testbed` — the paper's evaluation topology (migration source,
-  migration destination, N communication partners) as a thin shim over
-  ``ClusterBed``; a two-node fleet is the degenerate case of the same
-  machinery.
+  migration destination, N communication partners) as a ``ClusterBed``
+  subclass; a two-node fleet is the degenerate case of the same machinery.
 """
 
 from __future__ import annotations
@@ -254,12 +253,11 @@ class ClusterBed:
 
 
 class Testbed(ClusterBed):
-    """The evaluation topology: source, destination, N partners.
+    """The paper's evaluation topology: source, destination, N partners.
 
-    A back-compat shim over :class:`ClusterBed` that creates the paper's
-    servers in the exact historical order ("src", "dst", "partner0", ...),
-    which keeps the pid stream — and with it every simtime-equivalence
-    pin — bit-identical to the pre-fleet assembler.
+    A :class:`ClusterBed` with the servers every two-node experiment uses,
+    created in a fixed order ("src", "dst", "partner0", ...).  That order
+    fixes the pid stream, and with it every simtime-equivalence pin.
     """
 
     def __init__(self, config: Optional[Config] = None, num_partners: int = 1):

@@ -220,9 +220,6 @@ class MigrRdmaGuestLib(VerbsAPI):
     def node_name(self) -> str:
         return self.layer.server.name
 
-    def _charge(self, cycles: float) -> None:
-        self.process.cpu.charge("virt", cycles)
-
     def _trace_lane(self, tracer):
         return tracer.lane(self.node_name, f"lib:pid{self.process.pid}")
 
@@ -382,68 +379,6 @@ class MigrRdmaGuestLib(VerbsAPI):
             self._start_fetch(qp)
             return
         self._post_physical(qp, physical)
-
-    def post_send_wrs(self, qp: VirtQP, wrs: List[SendWR]) -> None:
-        """WR-chain post through the virtualization layer.
-
-        Per-WR charges, suspension interception, and fetch queueing are
-        identical to calling :meth:`post_send` N times; runs of
-        consecutively-translatable WRs reach the NIC as one chain (a single
-        doorbell).
-        """
-        cpu = self.process.cpu
-        cfg = cpu.config
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(tracer.lane(self.node_name, "verbs"),
-                           "post:chain", {"vqpn": qp.vqpn, "wrs": len(wrs)})
-        chain: List[SendWR] = []
-        for wr in wrs:
-            cpu.charge_base(_OP_LABEL[wr.opcode])
-            cpu.charge("virt", cfg.suspension_flag_check_cycles)
-            if wr.inline and wr.inline_data is None:
-                capture_inline(self.process, qp, wr)
-            if qp.suspended:
-                cpu.charge("virt", cfg.wr_intercept_buffer_cycles)
-                qp.intercepted_sends.append(clone_send_wr(wr))
-                self.wrs_intercepted += 1
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.instant(self._trace_lane(tracer), "wr-intercept",
-                                   {"vqpn": qp.vqpn})
-                continue
-            if qp.pending_fetch:
-                qp.pending_fetch.append(clone_send_wr(wr))
-                continue
-            physical = self._translate_send(qp, wr)
-            if physical is None:
-                # Flush what is already translated before queueing this WR
-                # for a fetch, so everything in pending_fetch stays ordered
-                # behind what the NIC already has.
-                self._flush_wr_chain(qp, chain)
-                chain = []
-                qp.pending_fetch.append(clone_send_wr(wr))
-                self._start_fetch(qp)
-                continue
-            if physical.opcode is Opcode.BIND_MW:
-                self._register_pending_bind(qp, physical)
-            chain.append(physical)
-        self._flush_wr_chain(qp, chain)
-
-    def _flush_wr_chain(self, qp: VirtQP, chain: List[SendWR]) -> None:
-        if not chain:
-            return
-        phys = qp._phys
-        if not qp.backlog and phys.sq_space() >= len(chain):
-            self.layer.rnic.post_send_wrs(phys, chain)
-            return
-        # Not enough send-queue room (or an existing backlog): fall back to
-        # per-WR posting so the overflow lands in the backlog in order.
-        for wr in chain:
-            if qp.backlog or phys.sq_space() <= 0:
-                qp.backlog.append(wr)
-            else:
-                self.layer.rnic.post_send(phys, wr)
 
     def _post_physical(self, qp: VirtQP, wr: SendWR) -> None:
         if wr.opcode is Opcode.BIND_MW:
@@ -613,20 +548,18 @@ class MigrRdmaGuestLib(VerbsAPI):
         self._pending_binds[(qp.vqpn, physical_wr.wr_id)] = physical_wr
 
     def post_recv(self, qp: VirtQP, wr: RecvWR) -> None:
-        cpu = self.process.cpu
-        cfg = cpu.config
-        cpu.charge_base("recv")
-        cpu.charge("virt", cfg.suspension_flag_check_cycles)
-        physical = clone_recv_wr(wr)
-        for sge in physical.sges:
-            sge.lkey = self.state.lkey_table.lookup(sge.lkey)
-            cpu.charge("virt", cfg.lkey_array_lookup_cycles)
-        qp.posted_recvs.append(clone_recv_wr(wr))
         # RECVs are never intercepted: they generate no wire traffic and the
         # peer's inflight SENDs need them to complete during WBS (§3.4).
+        physical = self._translate_recv(qp, wr)
         self.layer.rnic.post_recv(qp._phys, physical)
 
     def post_srq_recv(self, srq: VirtSRQ, wr: RecvWR) -> None:
+        physical = self._translate_recv(srq, wr)
+        self.layer.rnic.post_srq_recv(srq._phys, physical)
+
+    def _translate_recv(self, target, wr: RecvWR) -> RecvWR:
+        """Charge and translate one RECV; its virtual copy joins the QP's or
+        SRQ's ``posted_recvs`` (the replay set).  Returns the physical WR."""
         cpu = self.process.cpu
         cfg = cpu.config
         cpu.charge_base("recv")
@@ -635,8 +568,8 @@ class MigrRdmaGuestLib(VerbsAPI):
         for sge in physical.sges:
             sge.lkey = self.state.lkey_table.lookup(sge.lkey)
             cpu.charge("virt", cfg.lkey_array_lookup_cycles)
-        srq.posted_recvs.append(clone_recv_wr(wr))
-        self.layer.rnic.post_srq_recv(srq._phys, physical)
+        target.posted_recvs.append(clone_recv_wr(wr))
+        return physical
 
     # -- polling ----------------------------------------------------------
 

@@ -62,9 +62,6 @@ class ProcessRdmaState:
     def qp_records(self):
         return self.log.of_kind("qp")
 
-    def record_for_resource(self, rid: int) -> ResourceRecord:
-        return self.log.get(rid)
-
 
 class IndirectionLayer:
     """Per-server MigrRDMA driver component."""
@@ -262,19 +259,6 @@ class IndirectionLayer:
         yield from self.rnic.dereg_mr(mr)
         state.lkey_table.release(record.args["vlkey"])
         state.rkey_table.release(record.args["vrkey"])
-        state.log.remove(rid)
-
-    def destroy_generic(self, state: ProcessRdmaState, rid: int):
-        """Destroy a logged PD/CQ/SRQ/channel/DM resource (removes the log)."""
-        obj = state.resources.pop(rid, None)
-        record = state.log.get(rid)
-        if record.kind == "cq" and obj is not None:
-            obj.destroy()
-        elif record.kind == "srq" and obj is not None:
-            obj.destroy()
-        elif record.kind == "dm" and obj is not None:
-            yield from self.rnic.free_dm(obj)
-        yield self.sim.timeout(5e-6)
         state.log.remove(rid)
 
     # ------------------------------------------------------------------

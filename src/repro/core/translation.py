@@ -222,10 +222,6 @@ class RkeyCache:
         self.hits = 0
         self.misses = 0
 
-    def peek(self, service_id: str, kind: str, virtual: int) -> Optional[int]:
-        """Lookup without touching the hit/miss statistics (internal use)."""
-        return self._cache.get((service_id, kind, virtual))
-
     def get(self, service_id: str, kind: str, virtual: int) -> Optional[int]:
         value = self._cache.get((service_id, kind, virtual))
         if value is None:

@@ -152,9 +152,6 @@ class FleetState:
         self._require_host(host)
         self.suspected.add(host)
 
-    def clear_suspect(self, host: str) -> None:
-        self.suspected.discard(host)
-
     def fits(self, host: str, container: str) -> bool:
         """Would placing ``container`` on ``host`` respect its quotas?
         Draining hosts accept nothing."""

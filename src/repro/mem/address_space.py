@@ -253,9 +253,6 @@ class AddressSpace:
     def total_mapped_bytes(self) -> int:
         return sum(v.length for v in self._vmas)
 
-    def total_touched_pages(self) -> int:
-        return sum(v.store.touched_pages for v in self._vmas)
-
     def mark_all_dirty(self) -> None:
         for vma in self._vmas:
             vma.store.mark_all_dirty()
@@ -275,7 +272,3 @@ class AddressSpace:
     def layout(self) -> List[Tuple[int, int, str, str]]:
         """(start, length, tag, name) tuples — the 'memory table' CRIU dumps."""
         return [(v.start, v.length, v.tag, v.name) for v in self._vmas]
-
-    def clone_layout(self) -> "AddressSpace":
-        """An empty copy with the same name (used when restoring)."""
-        return AddressSpace(name=self.name)

@@ -7,7 +7,7 @@ dirty set records which pages changed since the last
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, List, Set, Union
 
 from repro.config import PAGE_SIZE
 
@@ -228,10 +228,6 @@ class PageStore:
             if index < 0 or index >= self.num_pages:
                 raise ValueError(f"page index {index} outside store")
             self._pages[index] = bytes(content)
-
-    def iter_pages(self) -> Iterator[Tuple[int, bytes]]:
-        for index in sorted(self._pages):
-            yield index, bytes(self._pages[index])
 
     def clone(self) -> "PageStore":
         other = PageStore(self.length)

@@ -69,11 +69,10 @@ def reset_qpn_bases() -> None:
 
 RDMA_PROTOCOL = "rdma"
 
-#: Retransmission policy.  RNR_RETRY of 7 means infinite per the IB spec —
+#: Retransmission policy.  RNR retry is infinite (IB ``rnr_retry = 7``) —
 #: the common configuration, and what lets MigrRDMA's replay tolerate the
 #: receiver's RECV replay arriving after the sender's SEND replay.
 MAX_RETRIES = 8
-RNR_RETRY = 7
 RNR_TIMER_S = 100e-6
 
 
@@ -300,37 +299,11 @@ class RNIC:
         if qp.qpn not in self.qps:
             raise QPStateError(f"QP {qp.qpn:#x} does not belong to {self.name}")
         qp.enqueue_send(wr)
-        wr._pays_doorbell = True
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(tracer.lane(self.node.name, "rnic"), "doorbell",
-                           {"qpn": qp.qpn, "wrs": 1})
+                           {"qpn": qp.qpn})
         self._kicks[qp.qpn].put(True)
-
-    def post_send_wrs(self, qp: QP, wrs) -> None:
-        """Post a chain of WRs with one doorbell (ibverbs WR-list semantics).
-
-        Ordering, SSN assignment, and completions are identical to posting
-        the WRs one at a time; only the doorbell cost is charged once for
-        the whole chain and the engine is woken once.  Mirrors
-        ``ibv_post_send``: if enqueueing fails partway, the WRs accepted so
-        far are still submitted and the error propagates.
-        """
-        if qp.qpn not in self.qps:
-            raise QPStateError(f"QP {qp.qpn:#x} does not belong to {self.name}")
-        posted = 0
-        try:
-            for wr in wrs:
-                qp.enqueue_send(wr)
-                wr._pays_doorbell = posted == 0
-                posted += 1
-        finally:
-            if posted:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.instant(tracer.lane(self.node.name, "rnic"), "doorbell",
-                                   {"qpn": qp.qpn, "wrs": posted})
-                self._kicks[qp.qpn].put(True)
 
     def post_recv(self, qp: QP, wr: RecvWR) -> None:
         qp.enqueue_recv(wr)
@@ -363,10 +336,7 @@ class RNIC:
                     span = tracer.begin_span(
                         tracer.lane(self.node.name, f"qp{qp.qpn:#x}"),
                         wr.opcode.name, {"bytes": wr.total_length})
-                if wr._pays_doorbell:
-                    yield self.sim.timeout(doorbell_s + per_wqe_s)
-                else:
-                    yield self.sim.timeout(per_wqe_s)
+                yield self.sim.timeout(doorbell_s + per_wqe_s)
                 if qp.state is not QPState.RTS:
                     self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
                     if span is not None:
@@ -597,7 +567,6 @@ class RNIC:
             self.sim.cancel(entry)
         qp.rto_entries.clear()
         qp.retry_counts.clear()
-        qp.rnr_retries.clear()
 
     # ------------------------------------------------------------------
     # Ingress
@@ -768,23 +737,28 @@ class RNIC:
         # Scatter the SEND payload into the receive buffers.
         if len(data) > recv_wr.total_length:
             self._push_recv_cqe(qp, recv_wr, WCStatus.LOC_LEN_ERR, 0, payload.get("imm"))
-            return True
+        elif self._scatter(recv_wr.sges, data):
+            self._push_recv_cqe(qp, recv_wr, WCStatus.SUCCESS, len(data), payload.get("imm"))
+        else:
+            self._push_recv_cqe(qp, recv_wr, WCStatus.LOC_PROT_ERR, 0, payload.get("imm"))
+        return True
+
+    def _scatter(self, sges, data: Payload) -> bool:
+        """DMA ``data`` into local SGEs in order, enforcing lkeys.  False on
+        a local protection error; the SGEs before it keep what they got."""
         remaining = data
-        for sge in recv_wr.sges:
+        for sge in sges:
             if not remaining:
                 break
             chunk, remaining = remaining[:sge.length], remaining[sge.length:]
             mr = self.mrs_by_lkey.get(sge.lkey)
             if mr is None:
-                self._push_recv_cqe(qp, recv_wr, WCStatus.LOC_PROT_ERR, 0, payload.get("imm"))
-                return True
+                return False
             try:
                 mr.check_local(sge.addr, len(chunk), write=True)
             except AccessError:
-                self._push_recv_cqe(qp, recv_wr, WCStatus.LOC_PROT_ERR, 0, payload.get("imm"))
-                return True
+                return False
             mr.space.write(sge.addr, chunk)
-        self._push_recv_cqe(qp, recv_wr, WCStatus.SUCCESS, len(data), payload.get("imm"))
         return True
 
     def _push_recv_cqe(self, qp: QP, recv_wr: RecvWR, status: WCStatus, byte_len: int,
@@ -872,22 +846,7 @@ class RNIC:
             return  # duplicate response
         data = payload["data"]
         # Scatter the READ/ATOMIC result into the landing buffers.
-        remaining = data
-        status = WCStatus.SUCCESS
-        for sge in wr.sges:
-            if not remaining:
-                break
-            chunk, remaining = remaining[:sge.length], remaining[sge.length:]
-            mr = self.mrs_by_lkey.get(sge.lkey)
-            if mr is None:
-                status = WCStatus.LOC_PROT_ERR
-                break
-            try:
-                mr.check_local(sge.addr, len(chunk), write=True)
-            except AccessError:
-                status = WCStatus.LOC_PROT_ERR
-                break
-            mr.space.write(sge.addr, chunk)
+        status = WCStatus.SUCCESS if self._scatter(wr.sges, data) else WCStatus.LOC_PROT_ERR
         self._ack_progress(qp, ssn, status, byte_len=len(data))
 
     def _handle_nak(self, payload: dict) -> None:
@@ -903,11 +862,6 @@ class RNIC:
             # retry counters of everything inflight so the RTO path does not
             # exhaust while the responder backs us off.
             self._reset_transport_retries(qp)
-            retries = qp.rnr_retries.get(ssn, 0) + 1
-            if RNR_RETRY != 7 and retries > RNR_RETRY:
-                self._fail_connection(qp, ssn, WCStatus.RNR_RETRY_EXC_ERR)
-                return
-            qp.rnr_retries[ssn] = retries
             self.sim.schedule(
                 RNR_TIMER_S,
                 lambda: self.sim.spawn(self._retransmit(qp, ssn)),
@@ -935,8 +889,6 @@ class RNIC:
             qp.sq_inflight.pop(next_ssn, None)
             if qp.retry_counts:
                 qp.retry_counts.pop(next_ssn, None)
-            if qp.rnr_retries:
-                qp.rnr_retries.pop(next_ssn, None)
             self._cancel_retransmit(qp, next_ssn)
             self._complete_send(qp, wr, next_ssn, st, byte_len=blen)
             next_ssn = qp.sq_completed

@@ -104,12 +104,6 @@ class NicQoS:
 
     # -- rate shaping ---------------------------------------------------------
 
-    def is_shaped(self, tenant: Optional[str]) -> bool:
-        if tenant is None:
-            return False
-        st = self.tenants.get(tenant)
-        return st is not None and st.spec.rate_bps is not None
-
     def reserve(self, tenant: str, nbytes: int, now: float) -> float:
         """Charge ``nbytes`` to the tenant's bucket; return the shaping
         delay in seconds (0.0 for unshaped/unknown tenants)."""

@@ -83,12 +83,11 @@ class QP:
 
         # Requester-side retransmission state, managed by the NIC engine and
         # keyed by SSN: the armed RTO timer's cancellable heap entry plus
-        # transport/RNR retry counts.  Kept per-QP so the hot ACK path works
+        # the transport retry count.  Kept per-QP so the hot ACK path works
         # on small int-keyed dicts instead of a NIC-global (qpn, ssn)
         # tuple-key map that churns at high fan-out.
         self.rto_entries: Dict[int, list] = {}
         self.retry_counts: Dict[int, int] = {}
-        self.rnr_retries: Dict[int, int] = {}
         #: acknowledged out of order, waiting for in-SSN-order completion:
         #: ssn -> (wr, status, byte_len)
         self._acked: Dict[int, tuple] = {}
@@ -165,10 +164,6 @@ class QP:
     def recv_outstanding(self) -> int:
         """RECV WRs posted to this QP's own RQ and not yet consumed."""
         return len(self.rq)
-
-    def pending_recvs(self) -> list:
-        """Snapshot of not-yet-matched RECV WRs (for §3.4 replay)."""
-        return list(self.rq)
 
     def __repr__(self) -> str:
         return (

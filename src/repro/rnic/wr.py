@@ -47,9 +47,6 @@ class SendWR:
     # post time (no lkey check, buffer immediately reusable).
     inline: bool = False
     inline_data: Optional[bytes] = None
-    # Set by the RNIC at post time: only the first WR of a posted chain
-    # pays the doorbell.
-    _pays_doorbell: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.opcode is Opcode.RECV:

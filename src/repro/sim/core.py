@@ -461,9 +461,6 @@ class Simulator:
         self.events_processed += processed
         self.events_credited += processed
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self.schedule(delay, event._process_callbacks)
-
     # -- factories -------------------------------------------------------
 
     def event(self) -> Event:

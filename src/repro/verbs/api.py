@@ -110,15 +110,6 @@ class VerbsAPI:
     def post_send(self, qp, wr: SendWR) -> None:
         raise NotImplementedError
 
-    def post_send_wrs(self, qp, wrs: List[SendWR]) -> None:
-        """Post a chain of send WRs (``ibv_post_send`` WR-list semantics).
-
-        Implementations that support batched doorbells override this; the
-        default preserves exact per-WR semantics by posting sequentially.
-        """
-        for wr in wrs:
-            self.post_send(qp, wr)
-
     def post_recv(self, qp, wr: RecvWR) -> None:
         raise NotImplementedError
 
@@ -225,19 +216,6 @@ class DirectVerbs(VerbsAPI):
                            f"post:{_OP_LABEL[wr.opcode]}",
                            {"qpn": qp.qpn, "bytes": wr.total_length})
         self.rnic.post_send(qp, wr)
-
-    def post_send_wrs(self, qp: QP, wrs: List[SendWR]) -> None:
-        """WR-chain post: per-WR userspace cost, one NIC doorbell."""
-        cpu = self.process.cpu
-        for wr in wrs:
-            cpu.charge_base(_OP_LABEL[wr.opcode])
-            if wr.inline and wr.inline_data is None:
-                capture_inline(self.process, qp, wr)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(tracer.lane(self.rnic.node.name, "verbs"),
-                           "post:chain", {"qpn": qp.qpn, "wrs": len(wrs)})
-        self.rnic.post_send_wrs(qp, wrs)
 
     def post_recv(self, qp: QP, wr: RecvWR) -> None:
         self.process.cpu.charge_base("recv")

@@ -115,9 +115,6 @@ class ConnectionManager:
         self._listeners[key] = listener
         return listener
 
-    def unlisten(self, node: str, port: int) -> None:
-        self._listeners.pop((node, port), None)
-
     def _handle_connect(self, request: dict) -> dict:
         key = (request["dst"], request["port"])
         listener = self._listeners.get(key)

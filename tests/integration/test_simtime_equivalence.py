@@ -1,7 +1,7 @@
 """Pin the simulated-time results of the reference migration scenario.
 
 The simulation kernel and RNIC fast paths (event pooling, CQE batching,
-batched doorbells, translation memoization) are pure wall-clock
+translation memoization) are pure wall-clock
 optimizations: with a fixed seed they must not move a single simulated
 timestamp.  This test pins the full blackout breakdown of
 :func:`reference_bed` (16 QPs, 64 KiB WRITEs) to the exact values the model produced

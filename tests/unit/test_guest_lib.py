@@ -180,17 +180,18 @@ class TestRecvTracking:
 
 
 class TestBatchedPosting:
-    """lib.post_send_wrs: one chain through translation and the NIC."""
+    """Back-to-back posts of the same WR shape through translation and the
+    NIC.  (The class name is historical: it once covered a WR-chain post.)"""
 
-    def _write_wrs(self, h, n):
-        return [SendWR(wr_id=i, opcode=Opcode.RDMA_WRITE,
-                       sges=[make_sge(h["mr"], 0, 64)],
-                       remote_addr=h["pmr"].addr, rkey=h["pmr"].rkey)
-                for i in range(n)]
+    def _post_writes(self, lib, qp, h, n):
+        for i in range(n):
+            lib.post_send(qp, SendWR(wr_id=i, opcode=Opcode.RDMA_WRITE,
+                                     sges=[make_sge(h["mr"], 0, 64)],
+                                     remote_addr=h["pmr"].addr, rkey=h["pmr"].rkey))
 
     def test_chain_completes_in_order(self, env):
         tb, world, lib, peer_lib, process, h = env
-        lib.post_send_wrs(h["qp"], self._write_wrs(h, 5))
+        self._post_writes(lib, h["qp"], h, 5)
         wcs = drain(tb, lib, h["cq"], 5)
         assert [wc.wr_id for wc in wcs] == [0, 1, 2, 3, 4]
         assert all(wc.status is WCStatus.SUCCESS for wc in wcs)
@@ -199,7 +200,7 @@ class TestBatchedPosting:
         tb, world, lib, peer_lib, process, h = env
         layer = world.layer(tb.source.name)
         layer.raise_suspension(process.pid)
-        lib.post_send_wrs(h["qp"], self._write_wrs(h, 3))
+        self._post_writes(lib, h["qp"], h, 3)
         assert len(h["qp"].intercepted_sends) == 3
         assert h["qp"]._phys.send_inflight == 0
 
@@ -207,17 +208,17 @@ class TestBatchedPosting:
         tb, world, lib, peer_lib, process, h = env
         qp = h["qp"]
         assert qp.xlate_cache is None
-        lib.post_send_wrs(qp, self._write_wrs(h, 2))
+        self._post_writes(lib, qp, h, 2)
         cached = qp.xlate_cache
         assert cached is not None
-        lib.post_send(qp, self._write_wrs(h, 1)[0])
+        self._post_writes(lib, qp, h, 1)
         assert qp.xlate_cache is cached  # same tuple: cache hit, no rebuild
         drain(tb, lib, h["cq"], 3)
 
     def test_dereg_mr_invalidates_translation_cache(self, env):
         tb, world, lib, peer_lib, process, h = env
         qp = h["qp"]
-        lib.post_send_wrs(qp, self._write_wrs(h, 1))
+        self._post_writes(lib, qp, h, 1)
         drain(tb, lib, h["cq"], 1)
         epoch = qp.xlate_cache[0]
 

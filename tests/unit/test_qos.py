@@ -71,14 +71,6 @@ class TestTokenBucket:
         qos.reserve("t", 1, 10.0)  # 10 s of refill >> burst
         assert qos.state("t").tokens <= 4096
 
-    def test_is_shaped(self):
-        qos = NicQoS([TenantSpec("shaped", rate_bps=1e9),
-                      TenantSpec("open", max_qps=4)])
-        assert qos.is_shaped("shaped")
-        assert not qos.is_shaped("open")
-        assert not qos.is_shaped(None)
-        assert not qos.is_shaped("unknown")
-
     def test_allowed_bytes_bound(self):
         qos = make_qos(rate_bps=8e9, burst_bytes=4096)
         assert qos.allowed_bytes("t", 1e-3) == pytest.approx(
