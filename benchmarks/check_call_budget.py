@@ -26,7 +26,8 @@ import sys
 BUDGETS = {
     "migrate_ref": (98_955, 358, 2_380_000),
     "migrate_fanout": (783_513, 6_753, 19_100_000),
-    "fleet_drain": (154_323, 23_000, 2_530_000),
+    # per-QP RTO: duplicate go-back-N resends gone (was 154_323, 23_000)
+    "fleet_drain": (152_214, 22_950, 2_530_000),
     "kv_noisy": (369_787, 110_000, 8_600_000),
 }
 SEED = 7

@@ -79,11 +79,12 @@ RNR_TIMER_S = 100e-6
 class _ConnState:
     """Responder-side per-connection state (keyed by src node+QPN)."""
 
-    __slots__ = ("expected_ssn", "replies")
+    __slots__ = ("expected_ssn", "replies", "nak_sent")
 
     def __init__(self):
         self.expected_ssn = 0
         self.replies: Dict[int, dict] = {}  # ssn -> last reply payload (for dup re-ack)
+        self.nak_sent = False  # NAKed expected_ssn: drop later ssns silently
 
 
 class RNIC:
@@ -151,6 +152,7 @@ class RNIC:
         self.rx_bytes = 0
         self.tx_msgs = 0
         self.rx_msgs = 0
+        self._rto_s = 4 * config.link.propagation_delay_s + 500e-6  # RC, no backoff
 
         node.register_handler(RDMA_PROTOCOL, self._on_message)
         node.port.contention_factor = self._tx_contention_factor
@@ -266,9 +268,7 @@ class RNIC:
             engine.interrupt("destroy_qp")
         self._kicks.pop(qp.qpn, None)
         self.qps.pop(qp.qpn, None)
-        for entry in qp.rto_entries.values():
-            self.sim.cancel(entry)
-        qp.rto_entries.clear()
+        self._reset_rto(qp)
 
     def alloc_mw(self, pd: PD):
         yield self.sim.timeout(self.config.rnic.alloc_mw_s)
@@ -480,7 +480,8 @@ class RNIC:
 
     def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: Payload):
         """Put one RC request on the wire (first transmission and every
-        retransmission) and arm its retransmission timer."""
+        retransmission); start the QP's idle RTO timer unless every WR
+        that has left the port is acked (a resend can trail its ACK)."""
         payload = self._request_payload(qp, wr, ssn, data)
         size = self._wire_size(len(data) or wr.wire_payload_bytes)
         node = self.node
@@ -488,7 +489,10 @@ class RNIC:
         self.tx_bytes += size
         self.tx_msgs += 1
         node.network.transmit_raw(node.name, qp.remote_node, size, RDMA_PROTOCOL, payload)
-        self._arm_retransmit(qp, ssn)
+        if ssn > qp.wire_ssn:
+            qp.wire_ssn = ssn
+        if qp.rto_entry is None and qp.wire_ssn >= qp.sq_completed:
+            qp.rto_entry = self.sim.schedule(self._rto_s, self._rto_expired, qp)
 
     def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> dict:
         return {
@@ -501,50 +505,52 @@ class RNIC:
 
     # -- retransmission (go-back-N) ------------------------------------------
 
-    def _arm_retransmit(self, qp: QP, ssn: int) -> None:
-        # One live ack-timer per request, like hardware: re-arming (each
-        # go-back-N resend) cancels the previous timer's heap entry, and the
-        # ACK path cancels it outright — so healthy high-QP runs never pay a
-        # heap dispatch for a timer whose request already completed.
-        entries = qp.rto_entries
-        old = entries.get(ssn)
-        if old is not None:
-            self.sim.cancel(old)
-        entries[ssn] = self.sim.schedule(self._rto(qp), self._rto_expired, qp, ssn)
+    def _reset_rto(self, qp: QP) -> None:
+        """Stop the QP's RTO timer and restore its retry budget."""
+        qp.retries = 0
+        if qp.rto_entry is not None:
+            self.sim.cancel(qp.rto_entry)
+            qp.rto_entry = None
 
-    def _cancel_retransmit(self, qp: QP, ssn: int) -> None:
-        entry = qp.rto_entries.pop(ssn, None)
-        if entry is not None:
-            self.sim.cancel(entry)
-
-    def _rto(self, qp: QP) -> float:
-        base = 4 * self.config.link.propagation_delay_s + 500e-6
-        return base
-
-    def _rto_expired(self, qp: QP, ssn: int) -> None:
-        qp.rto_entries.pop(ssn, None)
-        if ssn not in qp.sq_inflight or qp.destroyed or qp.state is QPState.ERR:
+    def _rto_expired(self, qp: QP) -> None:
+        """No ACK progress for one RTO: go back to the oldest unacked WR."""
+        qp.rto_entry = None
+        if qp.destroyed or qp.state is QPState.ERR:
             return
-        retries = qp.retry_counts.get(ssn, 0) + 1
-        if retries > MAX_RETRIES:
-            self._fail_connection(qp, ssn, WCStatus.RETRY_EXC_ERR)
+        qp.retries += 1
+        if qp.retries > MAX_RETRIES:
+            self._fail_connection(qp, qp.sq_completed, WCStatus.RETRY_EXC_ERR)
             return
-        qp.retry_counts[ssn] = retries
-        self.sim.spawn(self._retransmit(qp, ssn), name=f"{self.name}:rexmit:{qp.qpn:#x}:{ssn}")
+        self._go_back(qp, qp.sq_completed, 0.0)
+
+    def _go_back(self, qp: QP, from_ssn: int, delay: float) -> None:
+        """Start a go-back-N resend from ``from_ssn`` after ``delay``,
+        unless one is already pending or running."""
+        if qp.going_back:
+            return
+        qp.going_back = True
+        resend = self._retransmit(qp, from_ssn)
+        if delay:
+            self.sim.schedule(delay, self.sim.spawn, resend)
+        else:
+            self.sim.spawn(resend)
 
     def _retransmit(self, qp: QP, from_ssn: int):
         """Go-back-N: resend every inflight WR with ssn >= from_ssn."""
-        for ssn in sorted(s for s in qp.sq_inflight if s >= from_ssn):
-            wr = qp.sq_inflight.get(ssn)
-            # destroy_qp cancels the RTO timers but not a pending RNR retry
-            if wr is None or qp.destroyed or qp.state is QPState.ERR:
-                return
-            try:
-                data = self._gather(qp, wr)  # re-gathered: memory may have moved on
-            except AccessError:
-                self._fail_connection(qp, ssn, WCStatus.LOC_PROT_ERR)
-                return
-            yield from self._transmit_rc(qp, wr, ssn, data)
+        try:
+            for ssn in sorted(s for s in qp.sq_inflight if s >= from_ssn):
+                wr = qp.sq_inflight.get(ssn)
+                # destroy_qp stops the RTO timer but not a pending RNR retry
+                if wr is None or qp.destroyed or qp.state is QPState.ERR:
+                    return
+                try:
+                    data = self._gather(qp, wr)  # re-gathered: memory may have moved on
+                except AccessError:
+                    self._fail_connection(qp, ssn, WCStatus.LOC_PROT_ERR)
+                    return
+                yield from self._transmit_rc(qp, wr, ssn, data)
+        finally:
+            qp.going_back = False
 
     def _fail_connection(self, qp: QP, ssn: int, status: WCStatus) -> None:
         wr = qp.sq_inflight.pop(ssn, None)
@@ -561,12 +567,8 @@ class RNIC:
             self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
         for ssn in sorted(qp.sq_inflight):
             wr = qp.sq_inflight.pop(ssn)
-            self._cancel_retransmit(qp, ssn)
             self._complete_send(qp, wr, ssn, WCStatus.WR_FLUSH_ERR, force=True)
-        for entry in qp.rto_entries.values():
-            self.sim.cancel(entry)
-        qp.rto_entries.clear()
-        qp.retry_counts.clear()
+        self._reset_rto(qp)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -641,14 +643,18 @@ class RNIC:
                 self._reply(src_node, reply)  # duplicate: re-ack
             return
         if ssn > conn.expected_ssn:
-            self._reply(src_node, {
-                "kind": "nak", "reason": "seq", "dst_qpn": payload["src_qpn"],
-                "ssn": conn.expected_ssn, "_size": ACK_BYTES,
-            })
+            if not conn.nak_sent:  # one NAK per sequence error
+                conn.nak_sent = True
+                self._reply(src_node, {
+                    "kind": "nak", "reason": "seq", "dst_qpn": payload["src_qpn"],
+                    "ssn": conn.expected_ssn, "_size": ACK_BYTES,
+                })
             return
         reply = self._execute_request(qp, src_node, payload)
         if reply is None:
+            conn.nak_sent = True
             return  # RNR: do not advance, requester retries
+        conn.nak_sent = False
         conn.expected_ssn += 1
         conn.replies[ssn] = reply
         if len(conn.replies) > 256:
@@ -857,24 +863,13 @@ class RNIC:
         ssn = payload["ssn"]
         if reason == "access":
             self._fail_connection(qp, ssn, WCStatus.REM_ACCESS_ERR)
-        elif reason == "rnr":
-            # The NAK proves the connection is alive: reset the transport
-            # retry counters of everything inflight so the RTO path does not
-            # exhaust while the responder backs us off.
-            self._reset_transport_retries(qp)
-            self.sim.schedule(
-                RNR_TIMER_S,
-                lambda: self.sim.spawn(self._retransmit(qp, ssn)),
-            )
-        elif reason == "seq":
-            self._reset_transport_retries(qp)
-            if any(s >= ssn for s in qp.sq_inflight):
-                self.sim.spawn(self._retransmit(qp, ssn))
-        else:
+            return
+        if reason != "rnr" and reason != "seq":
             raise ValueError(f"unknown NAK reason {reason!r}")
-
-    def _reset_transport_retries(self, qp: QP) -> None:
-        qp.retry_counts.clear()
+        # The NAK proves the peer alive: the RTO timer waits for the resend
+        # while the responder backs us off (RNR) or awaits the gap (seq).
+        self._reset_rto(qp)
+        self._go_back(qp, ssn, RNR_TIMER_S if reason == "rnr" else 0.0)
 
     def _ack_progress(self, qp: QP, ssn: int, status: WCStatus, byte_len: int = 0) -> None:
         """Record an acknowledgement; complete WRs strictly in SSN order."""
@@ -884,14 +879,18 @@ class RNIC:
         acked = qp._acked
         acked[ssn] = (wr, status, byte_len)
         next_ssn = qp.sq_completed
+        if next_ssn not in acked:
+            return  # out of order: no progress, the RTO timer runs on
         while next_ssn in acked:
             wr, st, blen = acked.pop(next_ssn)
             qp.sq_inflight.pop(next_ssn, None)
-            if qp.retry_counts:
-                qp.retry_counts.pop(next_ssn, None)
-            self._cancel_retransmit(qp, next_ssn)
             self._complete_send(qp, wr, next_ssn, st, byte_len=blen)
             next_ssn = qp.sq_completed
+        # Progress: restart the RTO timer while a WR that has left the port
+        # is unacked (a WR queued at the port is already in sq_inflight).
+        self._reset_rto(qp)
+        if qp.wire_ssn >= next_ssn:
+            qp.rto_entry = self.sim.schedule(self._rto_s, self._rto_expired, qp)
 
     def _release_rd_slot(self, qp: QP) -> None:
         """A READ/ATOMIC completed: free its initiator-depth slot."""

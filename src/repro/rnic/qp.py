@@ -81,13 +81,13 @@ class QP:
         self.n_sent_two_sided = 0
         self.n_recv_completed = 0
 
-        # Requester-side retransmission state, managed by the NIC engine and
-        # keyed by SSN: the armed RTO timer's cancellable heap entry plus
-        # the transport retry count.  Kept per-QP so the hot ACK path works
-        # on small int-keyed dicts instead of a NIC-global (qpn, ssn)
-        # tuple-key map that churns at high fan-out.
-        self.rto_entries: Dict[int, list] = {}
-        self.retry_counts: Dict[int, int] = {}
+        # Requester retransmission state, one of each per QP as in IB: the
+        # RTO timer's heap entry, the retry count, the highest ssn handed to
+        # the wire, and whether a go-back-N resend is pending or running.
+        self.rto_entry: Optional[list] = None
+        self.retries = 0
+        self.wire_ssn = -1
+        self.going_back = False
         #: acknowledged out of order, waiting for in-SSN-order completion:
         #: ssn -> (wr, status, byte_len)
         self._acked: Dict[int, tuple] = {}

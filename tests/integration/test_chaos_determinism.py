@@ -33,9 +33,10 @@ def test_same_seed_is_bit_identical():
     assert first.report.render() == second.report.render()
     # Literals recorded on the commit before the workload beds
     # (repro/beds.py): held to the parent's run, not only to itself.
+    # Re-pinned for the per-QP RTO: duplicate go-back-N resends are gone.
     assert (first.digest, first.sim_now, first.events_processed) == (
-        "f27d24ed2aab6d8ab8cbafd19441fff2c28271c28a854286625022c83931e9ff",
-        0.3646182814451696, 683726)
+        "c16d5ed56bcbd30ab6f68015d56f8c1ca156650534a4aa9dc680bd7546c96ddb",
+        0.32810810403716095, 445930)
 
 
 def test_different_plan_seed_diverges():

@@ -20,8 +20,9 @@ RUNS = 2
 PINNED_TORTURE = [
     ("2a7da528212011315c98ebb24d07530656b926b0be882d3f872b99a6c9a42e00",
      0.04743175451200455, 57920),
-    ("aaa845d13418638a390ed0e43384da4ab0db83aa37466ba11d0ceb34647111d1",
-     0.33841337463785687, 391864),
+    # per-QP RTO: duplicate go-back-N gone (was aaa845d1, 0.33841, 391864)
+    ("5af9d3cd8f7215adaaab53f9ebbccd1b7059fddc3a75532e3281f8d2ec57e88a",
+     0.3368341235818347, 393787),
 ]
 PINNED_RUNNER = [
     (0.10765376459031428, 192713, 0.06779114491031372),

@@ -32,8 +32,8 @@ def test_cancelled_entries_are_a_material_fraction():
 
     tb.run(flow(), limit=60.0)
     assert sender.stats.clean
-    # Every ACKed WR retired its armed RTO timer instead of letting it pop
-    # as a dead event: on a healthy wire one timer per WR cancels, a
-    # material fraction of the heap traffic.
+    # Every ACK that made progress retired the QP's armed RTO timer instead
+    # of letting it pop as a dead event: on a healthy wire one entry per
+    # completed WR cancels, a material fraction of the heap traffic.
     assert tb.sim.events_cancelled >= 512
     assert tb.sim.events_cancelled > 0.05 * tb.sim.events_processed

@@ -1,12 +1,14 @@
 """Unit tests for the RNIC data plane: SEND/RECV, WRITE, READ, ATOMIC,
 errors, ordering, reliability."""
 
+import math
 import random
 
 import pytest
 
 from repro.rnic import AccessFlags, Opcode, QPState, QPType, RecvWR, SendWR, WCStatus
 from repro.rnic.errors import QPStateError, ResourceError
+from repro.rnic.nic import RNR_TIMER_S
 from repro.verbs.api import make_sge
 
 from tests.helpers import build_pair, poll_until
@@ -91,6 +93,57 @@ class TestSendRecv:
         tx_msgs = tb.run(driver())
         assert rnic.tx_msgs == tx_msgs
         assert b.lib.poll_cq(b.cq, 4) == []
+
+    def test_late_recvs_resend_once_per_rnr_timer(self, pair):
+        """Two SENDs meet a peer that posts its RECVs 0.5 ms late.  The
+        responder RNR-NAKs the first and drops the second silently, so the
+        requester resends the pair once per RNR timer — not once per NAK,
+        each resend drawing two more."""
+        tb, a, b = pair
+        late_s = 0.5e-3
+
+        def driver():
+            for i in range(2):
+                a.lib.post_send(a.qp, SendWR(wr_id=i, opcode=Opcode.SEND,
+                                             sges=[make_sge(a.mr, 8 * i, 8)]))
+            yield tb.sim.timeout(late_s)
+            for i in range(2):
+                b.lib.post_recv(b.qp, RecvWR(wr_id=10 + i,
+                                             sges=[make_sge(b.mr, 64 * i, 64)]))
+            return (yield from poll_until(tb, a.lib, a.cq, 2))
+
+        wcs = tb.run(driver())
+        assert [(wc.wr_id, wc.status) for wc in wcs] == [
+            (0, WCStatus.SUCCESS), (1, WCStatus.SUCCESS)]
+        assert a.server.rnic.tx_msgs <= 2 + 2 * math.ceil(late_s / RNR_TIMER_S)
+
+    def test_lost_request_draws_one_seq_nak_and_one_go_back(self, pair):
+        """The second of four inflight SENDs is lost: the responder NAKs
+        the gap once and drops the two behind it silently, the requester
+        goes back once, and all four complete in order."""
+        tb, a, b = pair
+        injector = tb.network.fault_injector = _LoseSecondRequest()
+        a.process.space.write(a.buf_addr, b"abcdefgh")
+
+        def driver():
+            for i in range(4):
+                b.lib.post_recv(b.qp, RecvWR(wr_id=10 + i,
+                                             sges=[make_sge(b.mr, 64 * i, 64)]))
+            for i in range(4):
+                a.lib.post_send(a.qp, SendWR(wr_id=i, opcode=Opcode.SEND,
+                                             sges=[make_sge(a.mr, 2 * i, 2)]))
+            send_wcs = yield from poll_until(tb, a.lib, a.cq, 4)
+            recv_wcs = yield from poll_until(tb, b.lib, b.cq, 4)
+            return send_wcs, recv_wcs
+
+        send_wcs, recv_wcs = tb.run(driver())
+        assert injector.seq_naks == 1
+        assert injector.resent == [1, 2, 3]
+        assert [(wc.wr_id, wc.status) for wc in send_wcs] == [
+            (i, WCStatus.SUCCESS) for i in range(4)]
+        assert [wc.wr_id for wc in recv_wcs] == [10, 11, 12, 13]
+        assert [b.process.space.read(b.buf_addr + 64 * i, 2) for i in range(4)] == [
+            b"ab", b"cd", b"ef", b"gh"]
 
     def test_payload_larger_than_recv_buffer_errors(self, pair):
         tb, a, b = pair
@@ -472,6 +525,31 @@ class _DropFirstRequest:
                 and not self.dropped:
             self.dropped += 1
             return []
+        return None
+
+
+class _LoseSecondRequest:
+    """``Network.fault_injector``: lose the first transmission of ssn 1;
+    record which ssns are sent again and how many seq NAKs cross."""
+
+    def __init__(self):
+        self.seen = set()
+        self.resent = []
+        self.seq_naks = 0
+
+    def intercept(self, message, now):
+        payload = message.payload
+        if message.protocol != "rdma":
+            return None
+        if payload["kind"] == "nak" and payload["reason"] == "seq":
+            self.seq_naks += 1
+        elif payload["kind"] == "req":
+            ssn = payload["ssn"]
+            if ssn in self.seen:
+                self.resent.append(ssn)
+            self.seen.add(ssn)
+            if ssn == 1 and not self.resent:
+                return []
         return None
 
 
