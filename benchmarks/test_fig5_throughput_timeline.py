@@ -15,7 +15,7 @@ paper uses (§5.5.2).  Claims to reproduce:
 import pytest
 
 from bench_common import MigrationScenario, record_result
-from repro.metrics import ThroughputSampler
+from repro.obs import ThroughputSampler
 
 MSG_SIZE = 2 * 1024 * 1024
 NUM_QPS = 16

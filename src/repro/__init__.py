@@ -13,7 +13,7 @@ Migration for RDMA" (SIGCOMM 2025) on a from-scratch simulated substrate:
   wait-before-stop, pre-setup, migration orchestration)
 - :mod:`repro.baselines` -- no-presetup, MigrOS, LubeRDMA, FreeFlow, failover
 - :mod:`repro.apps` -- perftest and Hadoop-like workloads
-- :mod:`repro.metrics` -- cycle accounting, byte counters, blackout breakdown
+- :mod:`repro.obs` -- tracing, the metrics snapshot, 5 ms NIC throughput
 - :mod:`repro.fleet` -- cluster-scale orchestration: fat-tree racks, fleet
   state store, migration scheduler (drains, rebalancing, evictions)
 

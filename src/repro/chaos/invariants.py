@@ -40,8 +40,8 @@ adversity, and yields human-readable violation strings (nothing = pass):
 
 The context scrapes the whole stack into a
 :class:`~repro.obs.metrics.MetricsRegistry` first, so checkers read the
-same numbers an operator would, and the snapshot doubles as the
-determinism digest of the run.
+same numbers an operator would, and its snapshot (``ctx.snapshot``)
+doubles as the determinism digest of the run.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class InvariantContext:
     """Everything a checker may inspect about one finished fault run."""
 
     def __init__(self, tb, world=None, endpoints=(), pairs=(), reports=(),
-                 plan=None, workload_errors=(), extra_metrics=None,
-                 fleet=None):
+                 plan=None, workload_errors=(), fleet=None):
         from repro.obs import MetricsRegistry
 
         self.tb = tb
@@ -75,13 +74,13 @@ class InvariantContext:
         self.fleet = fleet
         #: scenario-level failures the harness itself observed
         self.workload_errors = list(workload_errors)
-        self.metrics = extra_metrics or MetricsRegistry()
-        self.metrics.scrape_testbed(tb, world)
+        metrics = MetricsRegistry()
+        metrics.scrape_testbed(tb, world)
         if plan is not None:
-            self.metrics.scrape_chaos(plan)
+            metrics.scrape_chaos(plan)
         if fleet is not None:
-            self.metrics.scrape_fleet(fleet)
-        self.snapshot = self.metrics.snapshot()
+            metrics.scrape_fleet(fleet)
+        self.snapshot = metrics.snapshot()
 
     @property
     def expects_status_errors(self) -> bool:

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional
 from repro.cluster import Container, Server
 from repro.core.plugin import MigrRdmaPlugin
 from repro.core.world import MigrRdmaWorld
-from repro.metrics import BlackoutBreakdown, PhaseTimer
 from repro.migration import CriuEngine, PrecopyDecision, PrecopyWatchdog, Runc
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
@@ -95,6 +94,85 @@ def presetup_budget_s(deadline_s: float, partners: Dict[str, List[int]]) -> floa
     deadline only acts when it expires, so below ~1300 QPs nothing moves."""
     qps = sum(len(pqpns) for pqpns in partners.values())
     return max(deadline_s, _PRESETUP_S_PER_QP * qps)
+
+
+#: Canonical phase order used in Figure 3's stacked bars.
+PHASE_ORDER = ["DumpRDMA", "DumpOthers", "Transfer", "RestoreRDMA", "FullRestore"]
+
+
+class BlackoutBreakdown:
+    """Named phase durations accumulated during stop-and-copy: the five
+    components of Figure 3 (:data:`PHASE_ORDER`) plus any a variant adds."""
+
+    def __init__(self):
+        self.phases: Dict[str, float] = {}
+
+    def add(self, phase: str, duration_s: float) -> None:
+        if duration_s < 0:
+            raise ValueError(f"negative phase duration for {phase}: {duration_s}")
+        self.phases[phase] = self.phases.get(phase, 0.0) + duration_s
+
+    @property
+    def total_s(self) -> float:
+        return sum(self.phases.values())
+
+    def fraction(self, phase: str) -> float:
+        total = self.total_s
+        if total == 0:
+            raise ValueError("empty breakdown")
+        return self.phases.get(phase, 0.0) / total
+
+    def ordered(self) -> List:
+        """(phase, seconds) in canonical order, then any extras phases."""
+        rows = [(p, self.phases[p]) for p in PHASE_ORDER if p in self.phases]
+        rows += [(p, d) for p, d in self.phases.items() if p not in PHASE_ORDER]
+        return rows
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{p}={d * 1e3:.1f}ms" for p, d in self.ordered())
+        return f"<BlackoutBreakdown total={self.total_s * 1e3:.1f}ms {inner}>"
+
+
+class PhaseTimer:
+    """Context-manager-style phase timing against simulated time.
+
+    Not a real context manager because phases span generator yields; use::
+
+        timer = PhaseTimer(sim, breakdown, "Transfer")
+        timer.start()
+        yield from ...
+        timer.stop()
+    """
+
+    def __init__(self, sim, breakdown: BlackoutBreakdown, phase: str):
+        self.sim = sim
+        self.breakdown = breakdown
+        self.phase = phase
+        self._started_at: Optional[float] = None
+        self._span = None
+
+    def start(self) -> "PhaseTimer":
+        if self._started_at is not None:
+            raise RuntimeError(f"phase {self.phase} already started")
+        self._started_at = self.sim.now
+        # When a tracer is attached, the phase also becomes a span on the
+        # blackout-phases lane (same numbers as the breakdown, on a timeline).
+        tracer = getattr(self.sim, "tracer", None)
+        if tracer is not None and tracer.enabled:
+            self._span = tracer.begin_span(
+                tracer.lane("migration", "blackout-phases"), self.phase)
+        return self
+
+    def stop(self) -> float:
+        if self._started_at is None:
+            raise RuntimeError(f"phase {self.phase} was never started")
+        duration = self.sim.now - self._started_at
+        self.breakdown.add(self.phase, duration)
+        self._started_at = None
+        if self._span is not None:
+            self._span.end(seconds=duration)
+            self._span = None
+        return duration
 
 
 @dataclass

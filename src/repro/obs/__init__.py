@@ -12,10 +12,12 @@ without ad-hoc printf archaeology:
   orchestrator, CRIU) start emitting.  A simulator without a tracer pays
   one attribute load + None test per instrumentation point, and an
   attached tracer never changes simulated timestamps or the RNG stream.
-- :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — named counters,
-  gauges and histograms unifying the stack's pre-existing ad-hoc counters
-  (NIC bytes, kernel events, translation-cache hits, WBS drain counts)
-  under one snapshot.
+- :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — the run
+  snapshot: plain values scraped from the stack's own counters (NIC bytes,
+  kernel events, translation-cache hits, WBS drain counts) under one
+  namespace; the snapshot feeds every run digest.  The same module holds
+  :class:`ThroughputSampler` (Figure 5's 5 ms NIC byte-counter timeline)
+  and :class:`Histogram` (exact percentiles).
 - exporters (:mod:`repro.obs.export`) — Chrome trace-event JSON loadable
   in Perfetto / ``chrome://tracing``, a plain-text timeline summary, and
   the event census (``Tracer(sim, census=True)``: kernel dispatches by
@@ -38,16 +40,21 @@ from repro.obs.export import (
     timeline_summary,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    ThroughputSample,
+    ThroughputSampler,
+)
 from repro.obs.tracer import Lane, Span, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "Lane",
     "MetricsRegistry",
     "Span",
+    "ThroughputSample",
+    "ThroughputSampler",
     "Tracer",
     "census_summary",
     "chrome_trace_events",

@@ -1,58 +1,126 @@
-"""Named counters, gauges and histograms — one registry per experiment.
+"""The run snapshot and the paper's measurement instruments.
 
-Before this subsystem existed every layer grew its own ad-hoc counters:
-the RNIC's ``tx_bytes``/``rx_bytes``, ``Simulator.events_processed``, the
-rkey cache's ``hits``/``misses``, the WBS thread's drain counts.  Those
-remain where they are (they are part of the models), but the registry
-gives them one namespace, one snapshot, and one text rendering:
-:meth:`MetricsRegistry.scrape_*` pulls the current values in under stable
-dotted names, so exporters and the CLI report the whole stack uniformly.
+Every layer keeps its own counters where they belong to the model: the
+RNIC's ``tx_bytes``/``rx_bytes``, ``Simulator.events_processed``, the
+rkey cache's ``hits``/``misses``, the WBS thread's drain counts.
+:class:`MetricsRegistry` gives them one namespace, one snapshot and one
+text rendering: its ``scrape_*`` methods copy the current values in under
+stable dotted names, so exporters, the CLI and the run digest report the
+whole stack uniformly.
 
-Histograms keep raw observations (simulations observe thousands, not
-billions, of samples) and compute percentiles by linear interpolation
-between closest ranks.
+Beside it live two instruments that keep more than a final value:
+
+- :class:`ThroughputSampler` — the §5.5.2 methodology behind Figure 5:
+  perftest cannot report fine-grained throughput, so the evaluation
+  samples the Mellanox ethtool byte counters on a 5 ms grid and
+  differentiates.  Here the counters are the RNIC model's
+  ``tx_bytes``/``rx_bytes``.
+- :class:`Histogram` — keeps raw observations (simulations observe
+  thousands, not billions, of samples) and computes percentiles by linear
+  interpolation between closest ranks.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+from repro.sim import Interrupt, Simulator
 
-
-class Counter:
-    """A monotonically-increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {n})")
-        self.value += n
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
+__all__ = ["Histogram", "MetricsRegistry", "ThroughputSample",
+           "ThroughputSampler"]
 
 
-class Gauge:
-    """A point-in-time value (set, not accumulated)."""
+@dataclass
+class ThroughputSample:
+    """One 5-ms sample: time and throughput in Gbps."""
 
-    __slots__ = ("name", "value")
+    time_s: float
+    tx_gbps: float
+    rx_gbps: float
 
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
+class ThroughputSampler:
+    """Samples a pair of byte counters at a fixed interval."""
 
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
+    def __init__(
+        self,
+        sim: Simulator,
+        read_tx: Callable[[], int],
+        read_rx: Callable[[], int],
+        interval_s: float = 5e-3,
+    ):
+        if interval_s <= 0:
+            raise ValueError(f"sampling interval must be positive, got {interval_s}")
+        self.sim = sim
+        self.read_tx = read_tx
+        self.read_rx = read_rx
+        self.interval_s = interval_s
+        self.samples: List[ThroughputSample] = []
+        self._process = None
+
+    @classmethod
+    def for_nic(cls, sim: Simulator, nic, interval_s: float = 5e-3) -> "ThroughputSampler":
+        return cls(sim, lambda: nic.tx_bytes, lambda: nic.rx_bytes, interval_s)
+
+    def start(self) -> None:
+        if self._process is not None:
+            raise RuntimeError("sampler already started")
+        self._process = self.sim.spawn(self._run(), name="throughput-sampler")
+
+    def stop(self) -> None:
+        if self._process is not None and self._process.is_alive:
+            self._process.interrupt("stop")
+        self._process = None
+
+    def _run(self):
+        last_tx = self.read_tx()
+        last_rx = self.read_rx()
+        try:
+            while True:
+                yield self.sim.timeout(self.interval_s)
+                tx, rx = self.read_tx(), self.read_rx()
+                self.samples.append(ThroughputSample(
+                    time_s=self.sim.now,
+                    tx_gbps=(tx - last_tx) * 8 / self.interval_s / 1e9,
+                    rx_gbps=(rx - last_rx) * 8 / self.interval_s / 1e9,
+                ))
+                last_tx, last_rx = tx, rx
+        except Interrupt:
+            return
+
+    # -- analysis helpers -----------------------------------------------------
+
+    def blackout_intervals(self, threshold_gbps: float = 0.5, direction: str = "rx"):
+        """Contiguous sample runs where throughput fell below ``threshold``.
+
+        Returns a list of (start_s, end_s) intervals.
+        """
+        intervals = []
+        run_start: Optional[float] = None
+        for sample in self.samples:
+            value = sample.rx_gbps if direction == "rx" else sample.tx_gbps
+            if value < threshold_gbps:
+                if run_start is None:
+                    run_start = sample.time_s - self.interval_s
+            else:
+                if run_start is not None:
+                    intervals.append((run_start, sample.time_s - self.interval_s))
+                    run_start = None
+        if run_start is not None and self.samples:
+            intervals.append((run_start, self.samples[-1].time_s))
+        return intervals
+
+    def mean_gbps(self, start_s: float, end_s: float, direction: str = "rx") -> float:
+        values = [
+            (s.rx_gbps if direction == "rx" else s.tx_gbps)
+            for s in self.samples
+            if start_s <= s.time_s <= end_s
+        ]
+        if not values:
+            raise ValueError(f"no samples in window [{start_s}, {end_s}]")
+        return sum(values) / len(values)
 
 
 class Histogram:
@@ -122,50 +190,25 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named metrics, plus model scrapers."""
+    """Named plain values scraped from the model, under dotted names."""
 
     def __init__(self):
-        self._metrics: Dict[str, Any] = {}
+        self._values: Dict[str, Any] = {}
 
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = cls(name)
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}, "
-                f"requested {cls.__name__}")
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    # -- scrapers: unify the stack's pre-existing ad-hoc counters --------
+    # -- scrapers: copy each layer's own counters in ----------------------
 
     def scrape_sim(self, sim) -> None:
-        self.gauge("sim.events_processed").set(sim.events_processed)
-        self.gauge("sim.now_s").set(sim.now)
-        self.gauge("sim.failed_processes").set(len(sim.failed_processes))
+        self._values["sim.events_processed"] = sim.events_processed
+        self._values["sim.now_s"] = sim.now
+        self._values["sim.failed_processes"] = len(sim.failed_processes)
 
     def scrape_nic(self, nic, prefix: Optional[str] = None) -> None:
         prefix = prefix or f"rnic.{nic.node.name}"
-        self.gauge(f"{prefix}.tx_bytes").set(nic.tx_bytes)
-        self.gauge(f"{prefix}.rx_bytes").set(nic.rx_bytes)
-        self.gauge(f"{prefix}.tx_msgs").set(nic.tx_msgs)
-        self.gauge(f"{prefix}.rx_msgs").set(nic.rx_msgs)
-        self.gauge(f"{prefix}.qps").set(len(nic.qps))
+        self._values[f"{prefix}.tx_bytes"] = nic.tx_bytes
+        self._values[f"{prefix}.rx_bytes"] = nic.rx_bytes
+        self._values[f"{prefix}.tx_msgs"] = nic.tx_msgs
+        self._values[f"{prefix}.rx_msgs"] = nic.rx_msgs
+        self._values[f"{prefix}.qps"] = len(nic.qps)
         if nic.qos is not None:
             # Tenant QoS is part of the digested surface when installed:
             # metered bytes and throttle counts are results of the run.
@@ -173,28 +216,27 @@ class MetricsRegistry:
             # every pre-existing digest pin is untouched.
             for tenant, state in nic.qos.snapshot().items():
                 qprefix = f"{prefix}.tenant.{tenant}"
-                self.gauge(f"{qprefix}.tx_bytes").set(state["tx_bytes"])
-                self.gauge(f"{qprefix}.msgs").set(state["reserved_msgs"])
-                self.gauge(f"{qprefix}.qps").set(state["qps"])
-                self.gauge(f"{qprefix}.throttle_events").set(
-                    state["throttle_events"])
-                self.gauge(f"{qprefix}.throttle_s").set(state["throttle_s"])
-                self.gauge(f"{qprefix}.qp_denials").set(state["qp_denials"])
+                self._values[f"{qprefix}.tx_bytes"] = state["tx_bytes"]
+                self._values[f"{qprefix}.msgs"] = state["reserved_msgs"]
+                self._values[f"{qprefix}.qps"] = state["qps"]
+                self._values[f"{qprefix}.throttle_events"] = state["throttle_events"]
+                self._values[f"{qprefix}.throttle_s"] = state["throttle_s"]
+                self._values[f"{qprefix}.qp_denials"] = state["qp_denials"]
 
     def scrape_network(self, network) -> None:
-        self.gauge("fabric.messages_sent").set(network.messages_sent)
-        self.gauge("fabric.messages_dropped").set(network.messages_dropped)
+        self._values["fabric.messages_sent"] = network.messages_sent
+        self._values["fabric.messages_dropped"] = network.messages_dropped
 
     def scrape_lib(self, lib, prefix: Optional[str] = None) -> None:
         """One MigrRDMA guest lib: translation-cache and WBS/replay counts."""
         prefix = prefix or f"lib.pid{lib.process.pid}"
-        self.gauge(f"{prefix}.rkey_cache_hits").set(lib.rkey_cache.hits)
-        self.gauge(f"{prefix}.rkey_cache_misses").set(lib.rkey_cache.misses)
-        self.gauge(f"{prefix}.fetch_rpcs").set(lib.fetch_rpcs)
-        self.gauge(f"{prefix}.demand_fetches").set(lib.demand_fetches)
-        self.gauge(f"{prefix}.wrs_intercepted").set(lib.wrs_intercepted)
-        self.gauge(f"{prefix}.wrs_replayed").set(lib.wrs_replayed)
-        self.gauge(f"{prefix}.wbs_absorbed_cqes").set(lib.wbs.absorbed_cqes)
+        self._values[f"{prefix}.rkey_cache_hits"] = lib.rkey_cache.hits
+        self._values[f"{prefix}.rkey_cache_misses"] = lib.rkey_cache.misses
+        self._values[f"{prefix}.fetch_rpcs"] = lib.fetch_rpcs
+        self._values[f"{prefix}.demand_fetches"] = lib.demand_fetches
+        self._values[f"{prefix}.wrs_intercepted"] = lib.wrs_intercepted
+        self._values[f"{prefix}.wrs_replayed"] = lib.wrs_replayed
+        self._values[f"{prefix}.wbs_absorbed_cqes"] = lib.wbs.absorbed_cqes
 
     def scrape_testbed(self, tb, world=None) -> None:
         """Everything at once: kernel, fabric, every NIC, every guest lib."""
@@ -208,22 +250,20 @@ class MetricsRegistry:
             stats = getattr(world.control, "stats", None)
             if stats is not None:
                 for name, value in stats.as_dict().items():
-                    self.gauge(f"resilience.{name}").set(value)
+                    self._values[f"resilience.{name}"] = value
             # Heartbeat-detector behaviour (per-peer misses, suspicion
             # transitions, flap count) is part of the digested surface:
             # all three are simulated-time event counts, never wall-clock
             # quantities.  Peers whose counters are all zero emit nothing,
             # so fault-free runs keep their pre-existing digests
-            # byte-identical (same trick as the tenant-QoS gauges above).
+            # byte-identical (same trick as the tenant-QoS values above).
             detector_stats = getattr(world.control, "detector_stats", None)
             if detector_stats:
                 for peer, counts in sorted(detector_stats.items()):
                     if not any(counts.values()):
                         continue
                     for key in ("misses", "suspicions", "flaps"):
-                        self.gauge(
-                            f"resilience.detector.{peer}.{key}"
-                        ).set(counts[key])
+                        self._values[f"resilience.detector.{peer}.{key}"] = counts[key]
 
     def scrape_fleet(self, fleet) -> None:
         """Fleet state store + fat-tree trunk accounting.
@@ -234,48 +274,34 @@ class MetricsRegistry:
         settings.
         """
         state = fleet.state
-        self.gauge("fleet.hosts").set(len(state.hosts))
-        self.gauge("fleet.containers").set(len(state.containers))
-        self.gauge("fleet.draining").set(len(state.draining))
+        self._values["fleet.hosts"] = len(state.hosts)
+        self._values["fleet.containers"] = len(state.containers)
+        self._values["fleet.draining"] = len(state.draining)
         for name in state.hosts:
-            self.gauge(f"fleet.host.{name}.containers").set(state.load(name))
-            self.gauge(f"fleet.host.{name}.qps").set(state.qp_usage(name))
+            self._values[f"fleet.host.{name}.containers"] = state.load(name)
+            self._values[f"fleet.host.{name}.qps"] = state.qp_usage(name)
         topology = getattr(fleet, "topology", None)
         if topology is not None:
             for link, port in topology.trunk_ports().items():
-                self.gauge(f"fleet.link.{link}.bytes").set(port.bytes_sent)
+                self._values[f"fleet.link.{link}.bytes"] = port.bytes_sent
 
     def scrape_chaos(self, plan) -> None:
         """Injection counters from a :class:`repro.chaos.FaultPlan`."""
         for name, value in plan.stats.as_dict().items():
-            self.gauge(f"chaos.{name}").set(value)
-        self.gauge("chaos.rules").set(len(plan.rules))
-        self.gauge("chaos.boundaries_seen").set(len(plan.boundaries_seen))
+            self._values[f"chaos.{name}"] = value
+        self._values["chaos.rules"] = len(plan.rules)
+        self._values["chaos.boundaries_seen"] = len(plan.boundaries_seen)
 
     # -- output ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Plain dict of every metric (histograms become summary dicts)."""
-        out: Dict[str, Any] = {}
-        for name, metric in sorted(self._metrics.items()):
-            if isinstance(metric, Histogram):
-                out[name] = metric.summary()
-            else:
-                out[name] = metric.value
-        return out
+        """Plain dict of every value, keys sorted."""
+        return dict(sorted(self._values.items()))
 
     def render(self) -> str:
         """Aligned text table of the snapshot."""
-        rows = []
-        for name, value in self.snapshot().items():
-            if isinstance(value, dict):
-                inner = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                                 for k, v in value.items())
-                rows.append((name, inner))
-            elif isinstance(value, float):
-                rows.append((name, f"{value:.6g}"))
-            else:
-                rows.append((name, str(value)))
+        rows = [(name, f"{value:.6g}" if isinstance(value, float) else str(value))
+                for name, value in self.snapshot().items()]
         if not rows:
             return "(no metrics)"
         width = max(len(name) for name, _ in rows)

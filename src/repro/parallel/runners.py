@@ -43,7 +43,7 @@ def migration_run(num_qps: int, migrate: str, presetup: bool,
                   msg_size: int = 65536, depth: int = 8,
                   sample_partner: bool = False) -> Dict[str, object]:
     """One migration point of Figs. 3/4/5: plain-data report summary."""
-    from repro.metrics import ThroughputSampler
+    from repro.obs import ThroughputSampler
 
     bed = _ready_bed(num_qps=num_qps, migrate=migrate, msg_size=msg_size,
                      depth=depth)

@@ -92,8 +92,8 @@ def test_packet_path_credits_match_callback_only_transmissions(monkeypatch):
     listener-less wire-done) plus one per idle poll a parked loop replayed
     (DESIGN.md §12.5) — nothing else.  The reference run must actually
     credit, and its pinned timestamps must hold while counting."""
+    from repro.cluster import CpuContext
     from repro.fabric import Port
-    from repro.metrics.cycles import CpuContext
 
     cb_only_sims = []
     transmit_cb = Port.transmit_cb

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.pollloop import IDLE_POLL_S, POLL_BATCH, BusyPoller
+from repro.cluster import CpuContext
 from repro.config import CpuConfig
-from repro.metrics.cycles import CpuContext
 from repro.rnic.constants import Opcode, WCStatus
 from repro.rnic.cq import CQ, WorkCompletion
 from repro.sim import Interrupt, Simulator

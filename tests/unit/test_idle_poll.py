@@ -13,8 +13,8 @@ from repro import cluster
 from repro.apps.kvstore import KvClient, KvServer, connect_kv
 from repro.apps.perftest import PerftestEndpoint, connect_endpoints
 from repro.chaos.torture import quiesce
+from repro.cluster import CpuContext
 from repro.core import LiveMigration, MigrRdmaWorld
-from repro.metrics.cycles import CpuContext
 from repro.obs import Tracer
 from repro.rnic.errors import CQError
 

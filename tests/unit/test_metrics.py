@@ -1,15 +1,13 @@
-"""Unit tests for metrics: cycle accounting, throughput sampling, blackout
-breakdowns."""
+"""Unit tests for the measurement instruments: cycle accounting
+(``repro.cluster``), throughput sampling (``repro.obs``) and blackout
+breakdowns (``repro.core.orchestrator``)."""
 
 import pytest
 
+from repro.cluster import CpuContext
 from repro.config import CpuConfig
-from repro.metrics import (
-    BlackoutBreakdown,
-    CpuContext,
-    PhaseTimer,
-    ThroughputSampler,
-)
+from repro.core.orchestrator import BlackoutBreakdown, PhaseTimer
+from repro.obs import ThroughputSampler
 from repro.sim import Simulator
 
 

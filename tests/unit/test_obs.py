@@ -5,8 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -235,9 +233,10 @@ def test_chrome_trace_includes_metrics_snapshot(tmp_path):
     sim = Simulator()
     tracer = Tracer(sim).attach()
     metrics = MetricsRegistry()
-    metrics.counter("x").inc(3)
+    metrics.scrape_sim(sim)
     doc = write_chrome_trace(tracer, tmp_path / "t.json", metrics=metrics)
-    assert doc["otherData"]["metrics"] == {"x": 3}
+    assert doc["otherData"]["metrics"] == {
+        "sim.events_processed": 0, "sim.failed_processes": 0, "sim.now_s": 0.0}
 
 
 def test_timeline_summary_renders():
@@ -266,25 +265,8 @@ def test_export_of_empty_tracer():
 
 
 # ---------------------------------------------------------------------------
-# Metrics: counters, gauges, histograms
+# Metrics: histograms, the registry's snapshot and scrapers
 # ---------------------------------------------------------------------------
-
-
-def test_counter_and_gauge_basics():
-    reg = MetricsRegistry()
-    c = reg.counter("c")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    g = reg.gauge("g")
-    g.set(2.5)
-    assert g.value == 2.5
-    assert reg.counter("c") is c  # get-or-create returns the same object
-    with pytest.raises(TypeError):
-        reg.gauge("c")  # kind mismatch
-    assert "c" in reg and len(reg) == 2
 
 
 def test_histogram_percentile_math():
@@ -321,16 +303,24 @@ def test_histogram_edge_cases():
 
 
 def test_registry_snapshot_and_render():
+    sim = Simulator()
+
+    def work():
+        yield sim.timeout(2.5e-3)
+
+    sim.spawn(work())
+    sim.run()
     reg = MetricsRegistry()
-    reg.counter("a.count").inc(2)
-    reg.gauge("b.gauge").set(1.5)
-    reg.histogram("c.hist").observe(3.0)
+    reg.scrape_sim(sim)
     snap = reg.snapshot()
-    assert snap["a.count"] == 2
-    assert snap["b.gauge"] == 1.5
-    assert snap["c.hist"]["count"] == 1
+    assert list(snap) == sorted(snap)
+    # run_digest hashes repr(value): counts must stay ints, not floats
+    assert type(snap["sim.events_processed"]) is int
+    assert snap["sim.events_processed"] == sim.events_processed
+    assert snap["sim.now_s"] == 2.5e-3
     text = reg.render()
-    assert "a.count" in text and "c.hist" in text
+    assert f"sim.events_processed  {sim.events_processed}" in text
+    assert "sim.now_s             0.0025" in text
     assert MetricsRegistry().render() == "(no metrics)"
 
 
