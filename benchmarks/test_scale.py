@@ -7,10 +7,11 @@ plus every registered chaos invariant — at datacenter fan-out and lands the
 numbers
 in ``BENCH_scale.json``: correctness (every invariant clean) is asserted,
 wall-clock (events/sec) is guarded against >30% regressions the same way
-``BENCH_simperf.json`` is.
+``BENCH_simperf.json`` is, and peak RSS against >10% growth (the ledger's
+``peak_rss_mb`` bound).
 
 The 256- and 1024-QP points always run; ``REPRO_BENCH_FULL=1`` adds
-4096 QPs (~6 min, ~1.5 GiB), whose committed point a default run keeps.
+4096 QPs (~4 min, ~0.8 GiB), whose committed point a default run keeps.
 """
 
 import json
@@ -29,6 +30,8 @@ QP_POINTS = [256, 1024, 4096] if FULL_MODE else [256, 1024]
 
 #: New events/sec must be at least this fraction of the previous run's.
 GUARD_TOLERANCE = 0.70
+#: New peak RSS may exceed the previous run's by at most this fraction.
+RSS_TOLERANCE = 0.10
 
 
 def test_scale_invariants_and_events_per_sec():
@@ -98,13 +101,20 @@ def test_scale_invariants_and_events_per_sec():
     if previous is not None and not os.environ.get("REPRO_BENCH_NO_GUARD"):
         prev_points = {p.get("num_qps"): p for p in previous.get("points", [])}
         for point in result["points"]:
-            prev = prev_points.get(point["num_qps"])
-            if not prev or not prev.get("events_per_sec"):
-                continue
-            floor = prev["events_per_sec"] * GUARD_TOLERANCE
-            assert point["events_per_sec"] >= floor, (
-                f"{point['num_qps']}-QP scale throughput regressed: "
-                f"{point['events_per_sec']} events/sec vs previous "
-                f"{prev['events_per_sec']} (floor {floor:.0f}, tolerance "
-                f"{GUARD_TOLERANCE:.0%}). If the slowdown is expected, commit "
-                f"the new BENCH_scale.json or set REPRO_BENCH_NO_GUARD=1.")
+            prev = prev_points.get(point["num_qps"]) or {}
+            if prev.get("events_per_sec"):
+                floor = prev["events_per_sec"] * GUARD_TOLERANCE
+                assert point["events_per_sec"] >= floor, (
+                    f"{point['num_qps']}-QP scale throughput regressed: "
+                    f"{point['events_per_sec']} events/sec vs previous "
+                    f"{prev['events_per_sec']} (floor {floor:.0f}, tolerance "
+                    f"{GUARD_TOLERANCE:.0%}). If the slowdown is expected, commit "
+                    f"the new BENCH_scale.json or set REPRO_BENCH_NO_GUARD=1.")
+            if prev.get("peak_rss_mb"):
+                ceiling = prev["peak_rss_mb"] * (1 + RSS_TOLERANCE)
+                assert point["peak_rss_mb"] <= ceiling, (
+                    f"{point['num_qps']}-QP scale peak RSS grew: "
+                    f"{point['peak_rss_mb']} MiB vs previous "
+                    f"{prev['peak_rss_mb']} (ceiling {ceiling:.1f}, tolerance "
+                    f"{RSS_TOLERANCE:.0%}). If the growth is expected, commit "
+                    f"the new BENCH_scale.json or set REPRO_BENCH_NO_GUARD=1.")

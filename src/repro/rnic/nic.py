@@ -77,13 +77,20 @@ RNR_TIMER_S = 100e-6
 
 
 class _ConnState:
-    """Responder-side per-connection state (keyed by src node+QPN)."""
+    """Responder-side per-connection state (keyed by src node+QPN).
 
-    __slots__ = ("expected_ssn", "replies", "nak_sent")
+    Executed ssns are contiguous, so duplicates are answered for the
+    window ``[first_ssn, expected_ssn)``.  As on an IB responder, a plain
+    ACK is rebuilt from its ssn; only READ/atomic responses and access
+    NAKs are kept.
+    """
+
+    __slots__ = ("expected_ssn", "first_ssn", "kept", "nak_sent")
 
     def __init__(self):
         self.expected_ssn = 0
-        self.replies: Dict[int, dict] = {}  # ssn -> last reply payload (for dup re-ack)
+        self.first_ssn = 0  # oldest ssn a duplicate is still answered for
+        self.kept: Dict[int, dict] = {}  # ssn -> non-ACK reply in the window
         self.nak_sent = False  # NAKed expected_ssn: drop later ssns silently
 
 
@@ -638,16 +645,18 @@ class RNIC:
             conn = self._conn_state[conn_key] = _ConnState()
         ssn = payload["ssn"]
         if ssn < conn.expected_ssn:
-            reply = conn.replies.get(ssn)
-            if reply is not None:
-                self._reply(src_node, reply)  # duplicate: re-ack
+            if ssn >= conn.first_ssn:  # duplicate: answer it again
+                reply = conn.kept.get(ssn)
+                if reply is None:
+                    reply = {"kind": "ack", "dst_qpn": payload["src_qpn"], "ssn": ssn}
+                self._reply(src_node, reply)
             return
         if ssn > conn.expected_ssn:
             if not conn.nak_sent:  # one NAK per sequence error
                 conn.nak_sent = True
                 self._reply(src_node, {
                     "kind": "nak", "reason": "seq", "dst_qpn": payload["src_qpn"],
-                    "ssn": conn.expected_ssn, "_size": ACK_BYTES,
+                    "ssn": conn.expected_ssn,
                 })
             return
         reply = self._execute_request(qp, src_node, payload)
@@ -656,14 +665,19 @@ class RNIC:
             return  # RNR: do not advance, requester retries
         conn.nak_sent = False
         conn.expected_ssn += 1
-        conn.replies[ssn] = reply
-        if len(conn.replies) > 256:
-            for old in sorted(conn.replies)[:-128]:
-                del conn.replies[old]
+        if reply["kind"] != "ack":
+            conn.kept[ssn] = reply
+        if conn.expected_ssn - conn.first_ssn > 256:
+            first = conn.first_ssn = conn.expected_ssn - 128
+            conn.kept = {s: r for s, r in conn.kept.items() if s >= first}
         self._reply(src_node, reply)
 
     def _reply(self, dst: str, reply: dict) -> None:
-        size = reply.pop("_size", ACK_BYTES)
+        # A stored reply may be sent again, so it is read, never changed.
+        if reply["kind"] == "resp":
+            size = self._wire_size(len(reply["data"]))
+        else:
+            size = ACK_BYTES
         self.node.port.transmit_deferred(size, self._reply_sent, dst, size, reply)
 
     def _reply_sent(self, dst: str, size: int, reply: dict) -> None:
@@ -704,13 +718,13 @@ class RNIC:
             if data is None:
                 return self._nak_access(payload)
             return {"kind": "resp", "dst_qpn": payload["src_qpn"], "ssn": ssn,
-                    "data": data, "_size": self._wire_size(len(data))}
+                    "data": data}
         if opcode.is_atomic:
             orig = self._execute_atomic(qp, payload, opcode)
             if orig is None:
                 return self._nak_access(payload)
             return {"kind": "resp", "dst_qpn": payload["src_qpn"], "ssn": ssn,
-                    "data": orig, "_size": self._wire_size(ATOMIC_OPERAND_BYTES)}
+                    "data": orig}
         raise ValueError(f"responder cannot execute opcode {opcode}")
 
     def _nak_access(self, payload: dict) -> dict:

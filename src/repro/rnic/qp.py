@@ -26,6 +26,17 @@ from repro.rnic.wr import RecvWR, SendWR
 class QP:
     """A queue pair on a specific NIC."""
 
+    # Slots, not a per-instance dict: at 30 attributes CPython stops
+    # sharing dict keys between instances, and fan-out runs hold thousands.
+    __slots__ = (
+        "qpn", "tenant", "qp_type", "pd", "send_cq", "recv_cq", "max_send_wr",
+        "max_recv_wr", "srq", "max_rd_atomic", "outstanding_rd_atomic",
+        "max_inline_data", "state", "remote_node", "remote_qpn", "sq_pending",
+        "sq_inflight", "sq_posted", "sq_completed", "_next_ssn", "rq",
+        "n_sent_two_sided", "n_recv_completed", "rto_entry", "retries",
+        "wire_ssn", "going_back", "_acked", "_rd_slot_waiter", "destroyed",
+    )
+
     def __init__(
         self,
         qpn: int,
@@ -74,7 +85,6 @@ class QP:
 
         # Receive queue (unused when attached to an SRQ).
         self.rq: Deque[RecvWR] = deque()
-        self.rq_posted = 0
 
         # MigrRDMA §3.4 bookkeeping: two-sided verbs posted / RECVs completed
         # since QP creation.
@@ -144,7 +154,6 @@ class QP:
         if len(self.rq) >= self.max_recv_wr:
             raise ResourceError(f"QP {self.qpn:#x}: receive queue full (depth {self.max_recv_wr})")
         self.rq.append(wr)
-        self.rq_posted += 1
 
     def consume_recv(self) -> Optional[RecvWR]:
         if self.srq is not None:

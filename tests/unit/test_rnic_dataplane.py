@@ -656,3 +656,111 @@ def test_dropped_request_is_regathered_on_retransmit():
     assert injector.dropped == 1
     assert wcs[0].status is WCStatus.SUCCESS
     assert b.process.space.read(b.buf_addr, 4 * 4096) == second
+
+
+class _Wire:
+    """``Network.fault_injector``: log every RDMA request and reply (with
+    its wire size), and lose the first reply for the ssns in ``lose``."""
+
+    def __init__(self, lose=()):
+        self.lose = set(lose)
+        self.requests = {}  # ssn -> the first transmission's Message
+        self.replies = []  # (ssn, size_bytes, payload), in wire order
+
+    def intercept(self, message, now):
+        if message.protocol != "rdma":
+            return None
+        payload = message.payload
+        if payload["kind"] == "req":
+            self.requests.setdefault(payload["ssn"], message)
+            return None
+        self.replies.append((payload["ssn"], message.size_bytes, payload))
+        if payload["ssn"] in self.lose:
+            self.lose.discard(payload["ssn"])
+            return []
+        return None
+
+    def replay(self, tb, ssn):
+        """Deliver the logged request ``ssn`` once more; return the replies
+        it draws."""
+        message = self.requests[ssn]
+        before = len(self.replies)
+        tb.network.transmit_raw(message.src, message.dst, message.size_bytes,
+                                message.protocol, message.payload)
+        tb.sim.run(until=tb.sim.now + 100e-6)
+        return self.replies[before:]
+
+
+def _one_sided(a, b, opcode, wr_id, offset=0):
+    """An 8-byte WRITE / READ / FETCH_AND_ADD at ``b``'s buffer + offset."""
+    return SendWR(wr_id=wr_id, opcode=opcode, sges=[make_sge(a.mr, 8 * wr_id, 8)],
+                  remote_addr=b.mr.addr + offset, rkey=b.mr.rkey, compare_add=1)
+
+
+class TestReplayWindow:
+    """The responder answers a duplicate request the way it answered the
+    original, without executing it again: a plain ACK is rebuilt from its
+    ssn and only READ / atomic responses are kept, for the last 128 to
+    256 executed ssns of each connection."""
+
+    @pytest.mark.parametrize("opcode", [
+        Opcode.RDMA_WRITE, Opcode.RDMA_READ, Opcode.ATOMIC_FETCH_AND_ADD],
+        ids=["write", "read", "fetch-add"])
+    def test_duplicate_in_window_gets_the_original_reply(self, pair, opcode):
+        tb, a, b = pair
+        wire = tb.network.fault_injector = _Wire()
+        b.process.space.write(b.buf_addr, (41).to_bytes(8, "little"))
+        send_wcs, _ = run_op(tb, a, b, _one_sided(a, b, opcode, wr_id=0))
+        assert send_wcs[0].status is WCStatus.SUCCESS
+        # The memory under the request moves on; the duplicate must not see it.
+        b.process.space.write(b.buf_addr, (7).to_bytes(8, "little"))
+        [original] = wire.replies
+        assert wire.replay(tb, 0) == [original]
+        assert original[2]["kind"] == ("ack" if opcode is Opcode.RDMA_WRITE else "resp")
+        if opcode is not Opcode.RDMA_WRITE:
+            assert bytes(original[2]["data"]) == (41).to_bytes(8, "little")
+        # Executed once: the atomic did not add twice, the WRITE did not land again.
+        assert b.process.space.read(b.buf_addr, 8) == (7).to_bytes(8, "little")
+
+    def test_window_keeps_the_last_128_ssns_after_257_requests(self, pair):
+        tb, a, b = pair
+        wire = tb.network.fault_injector = _Wire()
+
+        def driver():
+            for start in range(0, 257, 64):
+                for i in range(start, min(start + 64, 257)):
+                    a.lib.post_send(a.qp, _one_sided(a, b, Opcode.RDMA_WRITE, 0, 8 * i))
+                yield from poll_until(tb, a.lib, a.cq, min(64, 257 - start))
+
+        tb.run(driver())
+        assert [ssn for ssn, _size, _payload in wire.replies] == list(range(257))
+        assert wire.replay(tb, 0) == []
+        assert wire.replay(tb, 128) == []
+        assert wire.replay(tb, 129) == [wire.replies[129]]
+        assert wire.replay(tb, 256) == [wire.replies[256]]
+
+    def test_per_connection_state_is_compact(self, pair):
+        """WRITEs leave no reply object on the connection, and a QP keeps
+        its attributes in slots, not in a per-instance dict."""
+        tb, a, b = pair
+        for i in range(16):
+            run_op(tb, a, b, _one_sided(a, b, Opcode.RDMA_WRITE, i % 8, 8 * i))
+        conn = b.server.rnic._conn_state[(a.server.rnic.node.name, a.qp.qpn)]
+        assert (conn.expected_ssn, conn.first_ssn, conn.kept) == (16, 0, {})
+        assert not hasattr(a.qp, "__dict__")
+        assert not hasattr(b.server.rnic.qps[b.qp.qpn], "__dict__")
+
+    def test_resent_read_response_is_charged_its_wire_size(self, pair):
+        tb, a, b = pair
+        wire = tb.network.fault_injector = _Wire(lose={0})
+        b.process.space.write(b.buf_addr, bytes(range(256)) * 16)
+        nic = b.server.rnic
+        wr = SendWR(wr_id=1, opcode=Opcode.RDMA_READ, sges=[make_sge(a.mr, 0, 4096)],
+                    remote_addr=b.mr.addr, rkey=b.mr.rkey)
+        tx_bytes = nic.tx_bytes
+        send_wcs, _ = run_op(tb, a, b, wr)
+        assert send_wcs[0].status is WCStatus.SUCCESS
+        assert a.process.space.read(a.buf_addr, 4096) == bytes(range(256)) * 16
+        sizes = [size for _ssn, size, _payload in wire.replies]
+        assert sizes == [nic._wire_size(4096)] * 2
+        assert nic.tx_bytes - tx_bytes == 2 * nic._wire_size(4096)
