@@ -2,13 +2,16 @@
 
 Models what CRIU manipulates during live migration: page-granular virtual
 address spaces made of VMAs backed by page stores.  Page contents are real
-``bytearray`` data so that RDMA operations move actual bytes and the
-correctness checks (no loss/duplication/corruption across migration) are
-meaningful.  ``mremap`` relocates a VMA's virtual range while keeping its
-backing store — the primitive the paper relies on to restore MR memory and
-on-chip memory at the application's original virtual addresses (§3.2, §3.3).
-Bulk RDMA payloads cross from one store to another as a :class:`PageRun` —
-the page images themselves, by reference (DESIGN.md §12.3).
+bytes, so that RDMA operations move actual bytes and the correctness
+checks (no loss/duplication/corruption across migration) are meaningful.
+A page is one immutable image with its zero tail dropped; a write replaces
+it, so stores, payloads and checkpoint images share images by reference.
+``mremap`` relocates a VMA's virtual range while keeping its backing
+store — the primitive the paper relies on to restore MR memory and
+on-chip memory at the application's original virtual addresses (§3.2,
+§3.3).  Bulk RDMA payloads cross from one store to another as a
+:class:`PageRun` — the page images themselves, by reference (DESIGN.md
+§12.3).
 """
 
 from repro.mem.paging import PageRun, PageStore, Payload

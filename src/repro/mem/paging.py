@@ -1,17 +1,21 @@
 """Page store: the "physical" backing of a VMA.
 
-Pages are materialised lazily (a page never written reads as zeros) and a
-dirty set records which pages changed since the last
-:meth:`PageStore.collect_dirty` — the hook the pre-copy loop uses.
+A page is one immutable ``bytes`` image of at most ``PAGE_SIZE`` bytes with
+its trailing zero bytes dropped; a page never written is absent, and both
+read as zeros.  A write replaces a page's image and never mutates one, so
+any number of stores, payloads and checkpoint images may hold the same
+image by reference.  A dirty set records which pages changed since the
+last :meth:`PageStore.collect_dirty` — the hook the pre-copy loop uses.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Set, Union
 
 from repro.config import PAGE_SIZE
 
-#: Shared zero page for reads of never-written ranges.
+#: Zeros for reads of never-written ranges.
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
@@ -19,12 +23,13 @@ class PageRun:
     """A bulk payload: consecutive whole page images, held by reference.
 
     What the NIC's DMA path carries from one :class:`PageStore` to another
-    in place of one joined ``bytes``.  The pages are immutable ``bytes``,
-    so a run is fixed once built and any number of stores may hold the same
-    page objects.  It answers what a payload is asked — ``len()``,
-    truthiness, ``bytes()``, ``==`` against bytes, and slicing; a slice on
-    page boundaries is again a run (or the one page, or ``b""``), any other
-    slice materialises.
+    in place of one joined ``bytes``.  The pages are immutable ``bytes`` of
+    at most ``PAGE_SIZE`` bytes, each standing for itself zero-padded to a
+    whole page, so a run is fixed once built and any number of stores may
+    hold the same page objects.  It answers what a payload is asked —
+    ``len()``, truthiness, ``bytes()``, ``==`` against bytes or another run,
+    and slicing; a slice on page boundaries is again a run (or the one
+    page, padded, or ``b""``), any other slice materialises.
     """
 
     __slots__ = ("pages", "_nbytes")
@@ -37,11 +42,12 @@ class PageRun:
         return self._nbytes
 
     def __bytes__(self) -> bytes:
-        return b"".join(self.pages)
+        return b"".join(map(bytes.ljust, self.pages, repeat(PAGE_SIZE), repeat(b"\0")))
 
     def __eq__(self, other) -> bool:
         if type(other) is PageRun:
-            return self.pages == other.pages
+            return self.pages == other.pages or (
+                len(other) == len(self) and bytes(self) == bytes(other))
         if isinstance(other, (bytes, bytearray, memoryview)):
             return len(other) == len(self) and bytes(self) == other
         return NotImplemented
@@ -55,7 +61,7 @@ class PageRun:
                     return self
                 if len(pages) > 1:
                     return PageRun(pages)
-                return pages[0] if pages else b""
+                return pages[0].ljust(PAGE_SIZE, b"\0") if pages else b""
         return bytes(self)[key]
 
     def __repr__(self) -> str:
@@ -78,9 +84,8 @@ class PageStore:
         if length <= 0 or length % PAGE_SIZE != 0:
             raise ValueError(f"length must be a positive multiple of {PAGE_SIZE}, got {length}")
         self.length = length
-        #: Whole-page writes are stored as immutable ``bytes`` (zero-copy to
-        #: read back); partially-written pages are mutable bytearrays.
-        self._pages: Dict[int, Union[bytes, bytearray]] = {}
+        #: page index -> image (trailing zeros dropped); absent reads as zeros
+        self._pages: Dict[int, bytes] = {}
         self._dirty: Set[int] = set()
 
     @property
@@ -90,21 +95,6 @@ class PageStore:
     @property
     def touched_pages(self) -> int:
         return len(self._pages)
-
-    def _page(self, index: int) -> bytearray:
-        """Materialise page ``index`` as a mutable bytearray.
-
-        Pages written whole are stored as immutable ``bytes`` (cheap to
-        store and to read back); this converts such a page copy-on-write.
-        """
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        elif type(page) is bytes:
-            page = bytearray(page)
-            self._pages[index] = page
-        return page
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.length:
@@ -116,8 +106,8 @@ class PageStore:
         Always ``bytes`` unless ``as_run`` (the NIC's DMA path): then a
         page-aligned range of two or more whole pages comes back as a
         :class:`PageRun` of the page images themselves — no payload byte
-        is copied except for pages that are mutable right now, which are
-        snapshotted so the payload is fixed at gather time.
+        is copied, and since a write replaces an image rather than
+        mutating it, the payload is fixed at gather time.
         """
         if offset < 0 or size < 0 or offset + size > self.length:
             self._check_range(offset, size)  # raises
@@ -128,29 +118,22 @@ class PageStore:
             page = pages.get(index)
             if page is None:
                 return _ZERO_PAGE[:size]
-            if size == PAGE_SIZE and type(page) is bytes:
-                return page  # whole immutable page: zero-copy
-            return bytes(page[within:within + size])
+            end = within + size
+            if page[end - 1:end]:
+                return page[within:end]  # the image covers the range
+            return page[within:end].ljust(size, b"\0")
         if within == 0 and size % PAGE_SIZE == 0:
             # Page-aligned whole pages (the bulk-transfer common case):
-            # one lookup per page, immutable pages taken by reference.
-            images = [
-                page if type(page) is bytes
-                else (_ZERO_PAGE if page is None else bytes(page))
-                for page in map(pages.get, range(index, index + size // PAGE_SIZE))]
-            return PageRun(images) if as_run else b"".join(images)
+            # one lookup per page, every image taken by reference.
+            run = PageRun(list(map(pages.get, range(index, index + size // PAGE_SIZE),
+                                   repeat(b""))))
+            return run if as_run else bytes(run)
         chunks = []
         while size > 0:
             take = PAGE_SIZE - within
             if take > size:
                 take = size
-            page = pages.get(index)
-            if page is None:
-                chunks.append(_ZERO_PAGE[:take])
-            elif take == PAGE_SIZE:
-                chunks.append(page if type(page) is bytes else bytes(page))
-            else:
-                chunks.append(bytes(page[within:within + take]))
+            chunks.append(pages.get(index, b"")[within:within + take].ljust(take, b"\0"))
             size -= take
             index += 1
             within = 0
@@ -163,31 +146,34 @@ class PageStore:
         pages = self._pages
         dirty = self._dirty
         index, within = divmod(offset, PAGE_SIZE)
-        if type(data) is PageRun:
-            if within == 0:
-                # Aligned run: install the page images themselves.  They
-                # may now be shared with the store they were gathered
-                # from; both sides only ever mutate a copy (see _page).
+        if type(data) is not bytes:
+            if type(data) is PageRun and within == 0:
+                # Aligned run: install the page images themselves.
                 span = range(index, index + size // PAGE_SIZE)
                 pages.update(zip(span, data.pages))
                 dirty.update(span)
                 return
-            data = bytes(data)
+            data = bytes(data)  # images are immutable
         pos = 0
         while pos < size:
             take = PAGE_SIZE - within
             if take > size - pos:
                 take = size - pos
             if take == PAGE_SIZE:
-                # Whole-page store: keep the immutable slice itself (bytes
-                # for a bytes source is zero-copy; partial writes convert
-                # copy-on-write via _page).
-                if size == PAGE_SIZE:
-                    pages[index] = bytes(data)
-                else:
-                    pages[index] = bytes(data[pos:pos + PAGE_SIZE])
+                page = data if size == PAGE_SIZE else data[pos:pos + PAGE_SIZE]
+                tail = b""
             else:
-                self._page(index)[within:within + take] = data[pos:pos + take]
+                # A partial write builds a new image: the old one's head
+                # (zero-padded up to the write) and tail around the bytes.
+                page = pages.get(index, b"")
+                tail = page[within + take:]
+                if within:
+                    page = page[:within].ljust(within, b"\0") + data[pos:pos + take] + tail
+                else:
+                    page = data[pos:pos + take] + tail
+            if not tail and not data[pos + take - 1]:
+                page = page.rstrip(b"\0")  # the image ends in written zeros
+            pages[index] = page
             dirty.add(index)
             pos += take
             index += 1
@@ -211,28 +197,28 @@ class PageStore:
     # -- snapshot / restore --------------------------------------------------
 
     def snapshot_pages(self, indices) -> Dict[int, bytes]:
-        """Copy out the given pages (zeros for never-written pages)."""
-        out = {}
-        for index in indices:
-            if index < 0 or index >= self.num_pages:
-                raise ValueError(f"page index {index} outside store")
-            page = self._pages.get(index)
-            out[index] = bytes(page) if page is not None else b"\x00" * PAGE_SIZE
-        return out
+        """The given pages' images, by reference (``b""`` for a page never
+        written)."""
+        indices = list(indices)
+        if indices and (min(indices) < 0 or max(indices) >= self.num_pages):
+            bad = next(i for i in indices if not 0 <= i < self.num_pages)
+            raise ValueError(f"page index {bad} outside store")
+        return dict(zip(indices, map(self._pages.get, indices, repeat(b""))))
 
     def install_pages(self, pages: Dict[int, bytes]) -> None:
-        """Write page images (from a migration transfer) into the store."""
+        """Install page images (from a migration transfer) into the store.
+
+        An image may be any length up to ``PAGE_SIZE``; the rest of its page
+        reads as zeros."""
         for index, content in pages.items():
-            if len(content) != PAGE_SIZE:
-                raise ValueError(f"page image must be {PAGE_SIZE} bytes, got {len(content)}")
+            if len(content) > PAGE_SIZE:
+                raise ValueError(f"page image must be at most {PAGE_SIZE} bytes, got {len(content)}")
             if index < 0 or index >= self.num_pages:
                 raise ValueError(f"page index {index} outside store")
-            self._pages[index] = bytes(content)
+            self._pages[index] = bytes(content).rstrip(b"\0")
 
     def clone(self) -> "PageStore":
         other = PageStore(self.length)
-        # Immutable pages can be shared; mutable ones must be copied.
-        other._pages = {i: p if type(p) is bytes else bytearray(p)
-                        for i, p in self._pages.items()}
+        other._pages = dict(self._pages)
         other._dirty = set(self._dirty)
         return other

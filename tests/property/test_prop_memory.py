@@ -65,6 +65,9 @@ class FlatModel:
         assert store.read(0, STORE_LEN, as_run=True) == bytes(self.flat)
         assert store.touched_pages == len(self.touched)
         assert store.dirty_pages == self.dirty
+        # one canonical image per page: at most a page, zero tail dropped
+        for image in store.snapshot_pages(range(STORE_PAGES)).values():
+            assert len(image) <= PAGE_SIZE and not image.endswith(b"\0")
 
 
 #: offsets and sizes that are page-aligned about half of the time, so runs,
@@ -93,8 +96,9 @@ def test_two_stores_exchanging_pages_match_flat_buffers(ops):
     """Two stores trading ranges the way the NIC's DMA path does (gather a
     payload from one, write it into the other — page runs by reference when
     aligned), interleaved with partial writes to either side, each stay
-    indistinguishable from their own flat bytearray: copy-on-write holds,
-    the shared zero page is never mutated, and the touched/dirty
+    indistinguishable from their own flat bytearray: a write replaces an
+    image and never mutates a shared one, every image stays in its
+    canonical form (zero tail dropped), and the touched/dirty
     bookkeeping is what byte-copying writes would have produced."""
     stores = [PageStore(STORE_LEN), PageStore(STORE_LEN)]
     models = [FlatModel(), FlatModel()]
@@ -125,13 +129,13 @@ def test_two_stores_exchanging_pages_match_flat_buffers(ops):
     for store, model in zip(stores, models):
         # the pre-copy hand-off: dirty page images rebuild the same bytes
         images = store.snapshot_pages(store.collect_dirty())
-        assert images == {i: bytes(model.flat[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
-                          for i in model.dirty}
+        assert {i: image.ljust(PAGE_SIZE, b"\0") for i, image in images.items()} == {
+            i: bytes(model.flat[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]) for i in model.dirty}
         restored = PageStore(STORE_LEN)
         restored.install_pages(images)
         assert restored.dirty_pages == set()
         for i in model.dirty:
-            assert restored.read(i * PAGE_SIZE, PAGE_SIZE) == images[i]
+            assert restored.read(i * PAGE_SIZE, PAGE_SIZE) == images[i].ljust(PAGE_SIZE, b"\0")
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,7 +68,10 @@ class TestPageStore:
     def test_install_bad_page_size_rejected(self):
         store = PageStore(PAGE_SIZE)
         with pytest.raises(ValueError):
-            store.install_pages({0: b"short"})
+            store.install_pages({0: b"x" * (PAGE_SIZE + 1)})
+        assert store.touched_pages == 0
+        store.install_pages({0: b"short"})  # an image stands for its page, zero-padded
+        assert store.read(0, PAGE_SIZE) == b"short" + bytes(PAGE_SIZE - 5)
 
     def test_snapshot_out_of_range_page(self):
         store = PageStore(PAGE_SIZE)
@@ -81,6 +84,41 @@ class TestPageStore:
         store.collect_dirty()
         store.mark_all_dirty()
         assert store.dirty_pages == {0}
+
+    def test_partial_write_snapshots_as_short_image(self):
+        store = PageStore(2 * PAGE_SIZE)
+        store.write(PAGE_SIZE, b"sixteen bytes!!!")
+        assert store.snapshot_pages(store.collect_dirty()) == {1: b"sixteen bytes!!!"}
+
+    def test_zero_write_over_last_byte_trims_image(self):
+        store = PageStore(PAGE_SIZE)
+        store.write(0, b"keep")
+        store.write(100, b"drop")
+        assert len(store.snapshot_pages([0])[0]) == 104
+        store.write(100, b"\0\0\0\0")
+        assert store.snapshot_pages([0]) == {0: b"keep"}
+        store.write(0, b"\0\0\0\0")
+        assert store.snapshot_pages([0]) == {0: b""}
+        assert store.touched_pages == 1
+        assert store.read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_pages_pass_by_reference_from_gather_to_install(self):
+        src = PageStore(2 * PAGE_SIZE)
+        src.write(0, b"slot header: 16B")  # a page written in part
+        src.write(PAGE_SIZE, b"\1" * PAGE_SIZE)
+        before = src.read(0, 2 * PAGE_SIZE)
+        mid = PageStore(2 * PAGE_SIZE)
+        run = src.read(0, 2 * PAGE_SIZE, as_run=True)
+        mid.write(0, run)
+        images = mid.snapshot_pages(mid.collect_dirty())
+        dst = PageStore(2 * PAGE_SIZE)
+        dst.install_pages(images)
+        first = src.snapshot_pages([0])[0]
+        assert run.pages[0] is first and images[0] is first
+        assert dst.snapshot_pages([0])[0] is first
+        src.write(5, b"source only")
+        assert dst.read(0, 2 * PAGE_SIZE) == before
+        assert src.read(0, 16) == b"slot source only"
 
     def test_clone_is_independent(self):
         store = PageStore(PAGE_SIZE)
@@ -120,6 +158,15 @@ class TestPageRun:
         assert len(piece) == len(self.FLAT[start:stop])
         assert bool(piece) == bool(self.FLAT[start:stop])
 
+    def test_equality_ignores_trimming(self):
+        whole = PageRun([bytes(PAGE_SIZE)] * 2)
+        trimmed = PageRun([b"", b""])
+        assert whole == trimmed == bytes(2 * PAGE_SIZE)
+        assert bytes(trimmed) == bytes(2 * PAGE_SIZE)
+        assert trimmed[:PAGE_SIZE] == bytes(PAGE_SIZE)
+        assert PageRun([b"a", b""]) == PageRun([b"a" + bytes(PAGE_SIZE - 1), b""])
+        assert PageRun([b"a", b""]) != PageRun([b"", b"a"])
+
     def test_page_aligned_slices_copy_nothing(self):
         run = PageRun(list(self.PAGES))
         assert run[:] is run
@@ -135,7 +182,7 @@ class TestPageRun:
     def test_store_gathers_runs_only_when_asked(self):
         store = PageStore(4 * PAGE_SIZE)
         store.write(0, self.FLAT[:2 * PAGE_SIZE])
-        store.write(PAGE_SIZE + 1, b"now mutable")
+        store.write(PAGE_SIZE + 1, b"partial write")
         assert type(store.read(0, 4 * PAGE_SIZE)) is bytes
         assert type(store.read(0, PAGE_SIZE, as_run=True)) is bytes
         assert type(store.read(1, 2 * PAGE_SIZE, as_run=True)) is bytes
@@ -144,8 +191,8 @@ class TestPageRun:
         assert run == store.read(0, 4 * PAGE_SIZE)
         assert run.pages[0] is store.read(0, PAGE_SIZE)  # the stored image itself
         assert all(type(page) is bytes for page in run.pages)
-        assert run.pages[2] is run.pages[3]  # the shared zero page
-        # Snapshot semantics: later writes do not reach the run.
+        assert run.pages[2] is run.pages[3] == b""  # never written: the empty image
+        # A write replaces images, so later writes do not reach the run.
         before = bytes(run)
         store.write(PAGE_SIZE + 1, b"changed again")
         store.write(0, b"x")
