@@ -56,6 +56,8 @@ class Connection:
     expect_recv_seq: int = 0
     completed: int = 0
     recv_completed: int = 0
+    #: an error CQE arrived: the QP is in ERR and takes no more WRs
+    errored: bool = False
     #: RECV-ring cursor of servers that keep ``next_seq`` for send-queue
     #: accounting (the KV server's message ring)
     _recv_ring_seq: int = field(default=0, repr=False, compare=False)
@@ -220,6 +222,8 @@ class PerftestEndpoint(BusyPoller):
         return wr
 
     def _refill_conn(self, conn: Connection) -> int:
+        if conn.errored:
+            return 0
         posted = 0
         while conn.outstanding < self.depth:
             if self._iters_left is not None:
@@ -291,7 +295,7 @@ class PerftestEndpoint(BusyPoller):
             return None
         self._drain_completions()
         for conn in self.connections:
-            if conn.outstanding >= self.depth:
+            if conn.outstanding >= self.depth or conn.errored:
                 continue
             if self._iters_left is not None:
                 if self._iters_left <= 0:
@@ -308,8 +312,11 @@ class PerftestEndpoint(BusyPoller):
             self.stats.status_errors.append(f"completion for unknown QPN {wc.qp_num:#x}")
             return
         if not wc.ok:
+            # The WR is retired all the same, and its QP is now in ERR.
             self.stats.status_errors.append(
                 f"wr {wc.wr_id} on {wc.qp_num:#x}: {wc.status.value}")
+            conn.outstanding -= 1
+            conn.errored = True
             return
         if wc.opcode is Opcode.RECV:
             self._handle_recv_wc(conn, wc)

@@ -120,7 +120,7 @@ class VirtSRQ:
         self.rid = rid
         self.lib = lib
         #: application-level RECV WRs posted and not yet consumed
-        self.posted_recvs: Deque[RecvWR] = deque()
+        self.posted_recvs: List[RecvWR] = []
 
     @property
     def _phys(self):
@@ -150,15 +150,18 @@ class VirtQP:
         self.remote_node: Optional[str] = None  # current location of the peer
         self.remote_vqpn: Optional[int] = None
         self.passthrough = False  # peer does not run MigrRDMA (§6 hybrid)
-        self.intercepted_sends: Deque[SendWR] = deque()
-        self.posted_recvs: Deque[RecvWR] = deque()
-        self.pending_fetch: Deque[SendWR] = deque()
+        # The WR queues are plain lists: an empty one costs 56 bytes where
+        # an empty deque costs 760, and none holds more than a few queue
+        # depths, so popping the head stays cheap.
+        self.intercepted_sends: List[SendWR] = []
+        self.posted_recvs: List[RecvWR] = []
+        self.pending_fetch: List[SendWR] = []
         self.fetch_active = False
         #: WRs posted-but-not-completed when WBS timed out (§3.4 last ¶)
         self.unacked_for_replay: List[SendWR] = []
         #: translated WRs waiting for send-queue space (replay bursts can
         #: exceed the restored QP's depth; they drain as completions arrive)
-        self.backlog: Deque[SendWR] = deque()
+        self.backlog: List[SendWR] = []
         #: memoized lkey translation: (lib epoch, virtual lkeys, physical
         #: lkeys) of the last WR — applications overwhelmingly re-post the
         #: same SGE shape, so this skips the per-SGE table walk.
@@ -394,7 +397,7 @@ class MigrRdmaGuestLib(VerbsAPI):
     def _drain_backlog(self, qp: VirtQP) -> None:
         phys = qp._phys
         while qp.backlog and phys.sq_space() > 0:
-            self.layer.rnic.post_send(phys, qp.backlog.popleft())
+            self.layer.rnic.post_send(phys, qp.backlog.pop(0))
 
     def _translate_send(self, qp: VirtQP, wr: SendWR) -> Optional[SendWR]:
         """Virtual WR -> physical WR; None when a remote fetch is needed.
@@ -486,8 +489,8 @@ class MigrRdmaGuestLib(VerbsAPI):
             if qp.suspended:
                 # Migration hit mid-fetch: the queued WRs become intercepted.
                 self.wrs_intercepted += len(qp.pending_fetch)
-                qp.intercepted_sends.extend(qp.pending_fetch)
-                qp.pending_fetch.clear()
+                qp.intercepted_sends += qp.pending_fetch
+                qp.pending_fetch = []
                 break
             wr = qp.pending_fetch[0]
             physical = self._translate_send(qp, wr)
@@ -501,7 +504,7 @@ class MigrRdmaGuestLib(VerbsAPI):
                 if physical is None:
                     yield self.sim.timeout(200e-6)
                     continue
-            qp.pending_fetch.popleft()
+            qp.pending_fetch.pop(0)
             self._post_physical(qp, physical)
         qp.fetch_active = False
 
@@ -624,9 +627,9 @@ class MigrRdmaGuestLib(VerbsAPI):
             return
         if vqp.vsrq is not None:
             if vqp.vsrq.posted_recvs:
-                vqp.vsrq.posted_recvs.popleft()
+                vqp.vsrq.posted_recvs.pop(0)
         elif vqp.posted_recvs:
-            vqp.posted_recvs.popleft()
+            vqp.posted_recvs.pop(0)
 
     def _finalize_bind(self, wc: WorkCompletion) -> None:
         vqpn = self.layer.qpn_table.lookup_or_identity(wc.qp_num)
@@ -718,22 +721,19 @@ class MigrRdmaGuestLib(VerbsAPI):
         if tracer is not None and tracer.enabled:
             span = tracer.begin_span(self._trace_lane(tracer), "wr-replay",
                                      {"vqpn": vqp.vqpn})
-        recvs = list(vqp.posted_recvs)
-        vqp.posted_recvs.clear()
+        recvs, vqp.posted_recvs = vqp.posted_recvs, []
         for wr in recvs:
             self.post_recv(vqp, wr)
         replayed = len(recvs)
         if vqp.vsrq is not None:
-            pending = list(vqp.vsrq.posted_recvs)
-            vqp.vsrq.posted_recvs.clear()
+            pending, vqp.vsrq.posted_recvs = vqp.vsrq.posted_recvs, []
             for wr in pending:
                 self.post_srq_recv(vqp.vsrq, wr)
             replayed += len(pending)
         unacked, vqp.unacked_for_replay = vqp.unacked_for_replay, []
         for wr in unacked:
             self.post_send(vqp, wr)
-        intercepted = list(vqp.intercepted_sends)
-        vqp.intercepted_sends.clear()
+        intercepted, vqp.intercepted_sends = vqp.intercepted_sends, []
         for wr in intercepted:
             self.post_send(vqp, wr)
         replayed += len(unacked) + len(intercepted)
@@ -757,8 +757,7 @@ class MigrRdmaGuestLib(VerbsAPI):
             vqp.unacked_for_replay = []
             if not vqp.intercepted_sends:
                 continue
-            intercepted = list(vqp.intercepted_sends)
-            vqp.intercepted_sends.clear()
+            intercepted, vqp.intercepted_sends = vqp.intercepted_sends, []
             for wr in intercepted:
                 self.post_send(vqp, wr)
             self.wrs_replayed += len(intercepted)

@@ -4,14 +4,22 @@ A page is one immutable ``bytes`` image of at most ``PAGE_SIZE`` bytes with
 its trailing zero bytes dropped; a page never written is absent, and both
 read as zeros.  A write replaces a page's image and never mutates one, so
 any number of stores, payloads and checkpoint images may hold the same
-image by reference.  A dirty set records which pages changed since the
-last :meth:`PageStore.collect_dirty` — the hook the pre-copy loop uses.
+image by reference.
+
+Dirty tracking follows Linux soft-dirty bits, which CRIU's iterative
+pre-dump reads: every page a process has touched counts as dirty until the
+first pre-dump clears the bits.  So a store holds no dirty set until its
+first :meth:`PageStore.collect_dirty` (or after
+:meth:`PageStore.mark_all_dirty`); until then every materialised page is
+dirty, and a buffer that never migrates never pays for a set.  From then
+on the set records which pages changed since the last collection — the
+hook the pre-copy loop uses.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Set, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.config import PAGE_SIZE
 
@@ -86,7 +94,9 @@ class PageStore:
         self.length = length
         #: page index -> image (trailing zeros dropped); absent reads as zeros
         self._pages: Dict[int, bytes] = {}
-        self._dirty: Set[int] = set()
+        #: pages written since the last collection; None while every
+        #: materialised page is dirty (soft-dirty bits never cleared)
+        self._dirty: Optional[Set[int]] = None
 
     @property
     def num_pages(self) -> int:
@@ -151,7 +161,8 @@ class PageStore:
                 # Aligned run: install the page images themselves.
                 span = range(index, index + size // PAGE_SIZE)
                 pages.update(zip(span, data.pages))
-                dirty.update(span)
+                if dirty is not None:
+                    dirty.update(span)
                 return
             data = bytes(data)  # images are immutable
         pos = 0
@@ -174,7 +185,8 @@ class PageStore:
             if not tail and not data[pos + take - 1]:
                 page = page.rstrip(b"\0")  # the image ends in written zeros
             pages[index] = page
-            dirty.add(index)
+            if dirty is not None:
+                dirty.add(index)
             pos += take
             index += 1
             within = 0
@@ -183,16 +195,16 @@ class PageStore:
 
     @property
     def dirty_pages(self) -> Set[int]:
-        return set(self._dirty)
+        return set(self._pages if self._dirty is None else self._dirty)
 
     def collect_dirty(self) -> Set[int]:
         """Return and clear the set of dirty page indices."""
         dirty, self._dirty = self._dirty, set()
-        return dirty
+        return set(self._pages) if dirty is None else dirty
 
     def mark_all_dirty(self) -> None:
         """Mark every materialised page dirty (first pre-copy iteration)."""
-        self._dirty = set(self._pages.keys())
+        self._dirty = None
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -209,7 +221,9 @@ class PageStore:
         """Install page images (from a migration transfer) into the store.
 
         An image may be any length up to ``PAGE_SIZE``; the rest of its page
-        reads as zeros."""
+        reads as zeros.  Installed pages are not dirty."""
+        if self._dirty is None:
+            self._dirty = set(self._pages)  # earlier writes stay dirty
         for index, content in pages.items():
             if len(content) > PAGE_SIZE:
                 raise ValueError(f"page image must be at most {PAGE_SIZE} bytes, got {len(content)}")
@@ -220,5 +234,5 @@ class PageStore:
     def clone(self) -> "PageStore":
         other = PageStore(self.length)
         other._pages = dict(self._pages)
-        other._dirty = set(self._dirty)
+        other._dirty = None if self._dirty is None else set(self._dirty)
         return other

@@ -124,7 +124,6 @@ class RNIC:
         self.dm_allocated = 0
 
         self._engines: Dict[int, object] = {}  # qpn -> engine Process
-        self._kicks: Dict[int, Queue] = {}
         self._conn_state: Dict[Tuple[str, int], _ConnState] = {}
 
         # Control-path activity window: while firmware commands execute,
@@ -229,7 +228,6 @@ class RNIC:
                 max_rd_atomic=max_rd_atomic, max_inline_data=max_inline_data,
                 tenant=tenant)
         self.qps[qpn] = qp
-        self._kicks[qpn] = Queue(self.sim)
         self._engines[qpn] = self.sim.spawn(self._engine(qp), name=f"{self.name}:qp{qpn:#x}")
         return qp
 
@@ -273,7 +271,7 @@ class RNIC:
         engine = self._engines.pop(qp.qpn, None)
         if engine is not None:
             engine.interrupt("destroy_qp")
-        self._kicks.pop(qp.qpn, None)
+        qp.doorbell = None
         self.qps.pop(qp.qpn, None)
         self._reset_rto(qp)
 
@@ -310,7 +308,10 @@ class RNIC:
         if tracer is not None:
             tracer.instant(tracer.lane(self.node.name, "rnic"), "doorbell",
                            {"qpn": qp.qpn})
-        self._kicks[qp.qpn].put(True)
+        doorbell = qp.doorbell
+        if doorbell is not None:
+            qp.doorbell = None
+            doorbell.succeed()
 
     def post_recv(self, qp: QP, wr: RecvWR) -> None:
         qp.enqueue_recv(wr)
@@ -323,20 +324,16 @@ class RNIC:
     # ------------------------------------------------------------------
 
     def _engine(self, qp: QP):
-        kick = self._kicks[qp.qpn]
         cfg = self.config.rnic
         doorbell_s = cfg.doorbell_s
         per_wqe_s = cfg.per_wqe_processing_s
         try:
             while True:
                 if not qp.sq_pending:
-                    yield kick.get()
+                    qp.doorbell = doorbell = self.sim.event()
+                    yield doorbell
                     continue
-                # Any queued kick tokens are redundant now — we keep draining
-                # sq_pending until it is empty regardless.  Dropping them
-                # avoids a wasted wakeup event per already-consumed WR.
-                kick.clear()
-                wr = qp.sq_pending.popleft()
+                wr = qp.sq_pending.pop(0)
                 tracer = self.sim.tracer
                 span = None
                 if tracer is not None and tracer.enabled:
@@ -569,8 +566,8 @@ class RNIC:
     def _flush_sq(self, qp: QP) -> None:
         """Flush pending+inflight WRs with WR_FLUSH_ERR after an error."""
         qp._acked.clear()
-        while qp.sq_pending:
-            wr = qp.sq_pending.popleft()
+        pending, qp.sq_pending = qp.sq_pending, []
+        for wr in pending:
             self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
         for ssn in sorted(qp.sq_inflight):
             wr = qp.sq_inflight.pop(ssn)

@@ -12,8 +12,7 @@ the QP metadata for the receive-side wait-before-stop termination check.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.rnic.constants import QP_TRANSITIONS, QPState, QPType
 from repro.rnic.cq import CQ
@@ -34,7 +33,8 @@ class QP:
         "max_inline_data", "state", "remote_node", "remote_qpn", "sq_pending",
         "sq_inflight", "sq_posted", "sq_completed", "_next_ssn", "rq",
         "n_sent_two_sided", "n_recv_completed", "rto_entry", "retries",
-        "wire_ssn", "going_back", "_acked", "_rd_slot_waiter", "destroyed",
+        "wire_ssn", "going_back", "_acked", "_rd_slot_waiter", "doorbell",
+        "destroyed",
     )
 
     def __init__(
@@ -77,14 +77,16 @@ class QP:
 
         # Send queue: WRs not yet picked up by the NIC engine, then inflight
         # (transmitted, awaiting completion) keyed by send sequence number.
-        self.sq_pending: Deque[SendWR] = deque()
+        # Plain lists: both rings are bounded by their max_*_wr, and an
+        # empty list costs 56 bytes where an empty deque costs 760.
+        self.sq_pending: List[SendWR] = []
         self.sq_inflight: Dict[int, SendWR] = {}
         self.sq_posted = 0  # head pointer
         self.sq_completed = 0  # tail pointer
         self._next_ssn = 0
 
         # Receive queue (unused when attached to an SRQ).
-        self.rq: Deque[RecvWR] = deque()
+        self.rq: List[RecvWR] = []
 
         # MigrRDMA §3.4 bookkeeping: two-sided verbs posted / RECVs completed
         # since QP creation.
@@ -103,6 +105,10 @@ class QP:
         self._acked: Dict[int, tuple] = {}
         #: the engine's event while it stalls on the max_rd_atomic limit
         self._rd_slot_waiter = None
+        #: the engine's event while it waits on an empty send queue; the
+        #: next post rings it once (one-shot: posts while the engine is
+        #: busy find None and cost nothing)
+        self.doorbell = None
 
         self.destroyed = False
 
@@ -159,7 +165,7 @@ class QP:
         if self.srq is not None:
             return self.srq.consume()
         if self.rq:
-            return self.rq.popleft()
+            return self.rq.pop(0)
         return None
 
     # -- inflight accounting -----------------------------------------------------

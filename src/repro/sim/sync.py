@@ -53,14 +53,6 @@ class Queue:
         """Snapshot of queued items without consuming them."""
         return list(self._items)
 
-    def clear(self) -> None:
-        """Drop all queued items (pending getters are unaffected).
-
-        Consumers that treat the queue as a wakeup signal and re-check real
-        state on every pass (e.g. the per-QP engine kick channels) use this
-        to coalesce redundant tokens instead of burning one event each."""
-        self._items.clear()
-
 
 class Broadcast:
     """A level-triggered signal many processes can wait on.

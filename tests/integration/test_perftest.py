@@ -5,7 +5,9 @@ import pytest
 from repro import cluster
 from repro.apps.contract import perftest_harness, run_contract
 from repro.apps.perftest import PerftestEndpoint, connect_endpoints
+from repro.beds import PerftestBed
 from repro.core import MigrRdmaWorld
+from repro.rnic import QPState
 
 
 def build_world(num_partners=1):
@@ -122,3 +124,32 @@ class TestMigrRdmaPerftest:
         violations = run_contract(perftest_harness(sender, receiver, iters=32))
         assert not violations, violations
         assert sender.connections[0].qp.passthrough
+
+
+class TestErrorCompletions:
+    def test_flushed_wrs_are_retired_and_never_refilled(self):
+        """A sender QP forced to ERR mid-traffic (what the ``qp_error``
+        fault does): its flushed WRs are retired with their status, the
+        endpoint posts nothing more into it, and quiesce drains."""
+        bed = PerftestBed(4, depth=8)
+        bed.run(bed.setup())
+        bed.start_traffic()
+        sender = bed.sender
+        victim = sender.connections[0]
+
+        def flow():
+            yield bed.sim.timeout(1e-3)
+            qp = victim.qp._phys
+            qp.force_error()
+            bed.source.rnic._flush_sq(qp)
+            yield bed.sim.timeout(1e-3)
+            return (yield from bed.quiesce())
+
+        assert bed.run(flow(), limit=10.0)
+        assert [conn.outstanding for conn in sender.connections] == [0, 0, 0, 0]
+        assert victim.errored and victim.qp._phys.state is QPState.ERR
+        flushed = [e for e in sender.stats.status_errors if e.endswith("WR_FLUSH_ERR")]
+        assert len(flushed) == len(sender.stats.status_errors) == sender.depth
+        assert victim.next_seq == victim.completed + sender.depth
+        assert all(conn.completed == conn.next_seq for conn in sender.connections[1:])
+        assert not bed.sim.failed_processes
