@@ -55,6 +55,9 @@ class Connection:
     expect_send_seq: int = 0
     expect_recv_seq: int = 0
     completed: int = 0
+    #: error-status CQEs (flushes included); a drained sender has
+    #: ``next_seq == completed + errors``
+    errors: int = 0
     recv_completed: int = 0
     #: an error CQE arrived: the QP is in ERR and takes no more WRs
     errored: bool = False
@@ -316,6 +319,7 @@ class PerftestEndpoint(BusyPoller):
             self.stats.status_errors.append(
                 f"wr {wc.wr_id} on {wc.qp_num:#x}: {wc.status.value}")
             conn.outstanding -= 1
+            conn.errors += 1
             conn.errored = True
             return
         if wc.opcode is Opcode.RECV:

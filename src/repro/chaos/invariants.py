@@ -4,8 +4,9 @@ Each checker inspects one correctness property the paper claims survives
 adversity, and yields human-readable violation strings (nothing = pass):
 
 - ``cqe-conservation`` — no completion lost or invented: every posted
-  send eventually produced exactly one observed CQE (§5.3's loss check),
-  and in SEND mode the receiver consumed exactly as many messages as the
+  send eventually produced exactly one observed CQE, of ok or error
+  status (a flushed WR is completed, not lost; §5.3's loss check), and
+  in SEND mode the receiver consumed exactly as many messages as the
   sender completed,
 - ``wr-ordering`` — per-QP completion order preserved, payloads intact
   (§5.3's order/content checks),
@@ -46,9 +47,10 @@ doubles as the determinism digest of the run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple
+
+from repro.obs.digest import sha256
 
 __all__ = ["InvariantContext", "InvariantReport", "InvariantRegistry",
            "DEFAULT_REGISTRY"]
@@ -150,16 +152,20 @@ def _check_cqe_conservation(ctx):
         if not getattr(ep, "_sender_active", False):
             continue
         for conn in ep.connections:
+            # An error or flush CQE completes its WR too: posted = ok + error.
+            errors = conn.errors
             if conn.outstanding != 0:
                 yield (f"{ep.name} qp#{conn.index}: {conn.outstanding} posted "
-                       f"WRs never produced a completion (CQEs lost)")
-            if conn.completed != conn.next_seq:
+                       f"WRs produced no CQE, neither ok nor error status")
+            if conn.completed + errors != conn.next_seq:
                 yield (f"{ep.name} qp#{conn.index}: posted {conn.next_seq} "
-                       f"sends but observed {conn.completed} completions")
-            if conn.expect_send_seq != conn.next_seq:
-                yield (f"{ep.name} qp#{conn.index}: completion sequence ended "
-                       f"at {conn.expect_send_seq}, expected {conn.next_seq} "
-                       f"(duplicated or skipped CQE)")
+                       f"sends but observed {conn.completed} ok + {errors} "
+                       f"error-status completions")
+            # ok CQEs are a prefix: a QP in error completes nothing ok.
+            if conn.expect_send_seq != conn.next_seq - errors:
+                yield (f"{ep.name} qp#{conn.index}: ok completion sequence "
+                       f"ended at {conn.expect_send_seq}, expected "
+                       f"{conn.next_seq - errors} (duplicated or skipped CQE)")
     for sender, receiver in ctx.pairs:
         if sender.mode != "send":
             continue
@@ -442,4 +448,4 @@ def run_digest(ctx: InvariantContext, report: InvariantReport) -> str:
                      f"{mreport.rolled_forward}")
     if ctx.plan is not None:
         parts.append(",".join(ctx.plan.boundaries_seen))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return sha256("\n".join(parts).encode()).hexdigest()

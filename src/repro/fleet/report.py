@@ -15,10 +15,10 @@ runs compare bit-identical across ``--jobs`` settings.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.obs.digest import sha256
 from repro.obs.metrics import Histogram
 
 __all__ = ["FleetReport", "MigrationOutcome"]
@@ -142,7 +142,7 @@ class FleetReport:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.digest_input().encode()).hexdigest()
+        return sha256(self.digest_input().encode()).hexdigest()
 
     def render(self) -> str:
         """Human-readable summary table for the CLI/examples."""

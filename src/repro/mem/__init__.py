@@ -6,6 +6,8 @@ bytes, so that RDMA operations move actual bytes and the correctness
 checks (no loss/duplication/corruption across migration) are meaningful.
 A page is one immutable image with its zero tail dropped; a write replaces
 it, so stores, payloads and checkpoint images share images by reference.
+A store indexes its pages in a dense table, one slot a page (DESIGN.md
+§12.9).
 ``mremap`` relocates a VMA's virtual range while keeping its backing
 store — the primitive the paper relies on to restore MR memory and
 on-chip memory at the application's original virtual addresses (§3.2,

@@ -1,10 +1,16 @@
 """Page store: the "physical" backing of a VMA.
 
 A page is one immutable ``bytes`` image of at most ``PAGE_SIZE`` bytes with
-its trailing zero bytes dropped; a page never written is absent, and both
+its trailing zero bytes dropped; a page never written is ``None``, and both
 read as zeros.  A write replaces a page's image and never mutates one, so
 any number of stores, payloads and checkpoint images may hold the same
 image by reference.
+
+A store indexes its pages the way an MMU page table (or CRIU's pagemap)
+does: a dense ``list`` with one slot per page, 8 bytes a page whether
+written or not.  An aligned bulk write is one slice assignment, and no
+per-page key object exists.  A list also accepts negative indices, so
+every entry point range-checks its offsets and page indices first.
 
 Dirty tracking follows Linux soft-dirty bits, which CRIU's iterative
 pre-dump reads: every page a process has touched counts as dirty until the
@@ -81,7 +87,7 @@ Payload = Union[bytes, PageRun]
 
 
 class PageStore:
-    """Sparse page-indexed byte storage with dirty tracking.
+    """Page-indexed byte storage with dirty tracking.
 
     Offsets are relative to the start of the owning VMA; the store survives
     ``mremap`` untouched, which is exactly the "physical address unchanged"
@@ -92,8 +98,9 @@ class PageStore:
         if length <= 0 or length % PAGE_SIZE != 0:
             raise ValueError(f"length must be a positive multiple of {PAGE_SIZE}, got {length}")
         self.length = length
-        #: page index -> image (trailing zeros dropped); absent reads as zeros
-        self._pages: Dict[int, bytes] = {}
+        #: one slot per page: its image (trailing zeros dropped), or None for
+        #: a page never written; both read as zeros
+        self._pages: List[Optional[bytes]] = [None] * (length // PAGE_SIZE)
         #: pages written since the last collection; None while every
         #: materialised page is dirty (soft-dirty bits never cleared)
         self._dirty: Optional[Set[int]] = None
@@ -104,7 +111,11 @@ class PageStore:
 
     @property
     def touched_pages(self) -> int:
-        return len(self._pages)
+        return len(self._pages) - self._pages.count(None)
+
+    def _materialised(self) -> Set[int]:
+        """Indices of every page ever written."""
+        return {index for index, page in enumerate(self._pages) if page is not None}
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.length:
@@ -119,13 +130,14 @@ class PageStore:
         is copied, and since a write replaces an image rather than
         mutating it, the payload is fixed at gather time.
         """
-        if offset < 0 or size < 0 or offset + size > self.length:
-            self._check_range(offset, size)  # raises
+        if offset < 0 or size <= 0 or offset + size > self.length:
+            self._check_range(offset, size)  # raises, unless an empty read
+            return b""  # (its offset may be one past the last page)
         pages = self._pages
         index, within = divmod(offset, PAGE_SIZE)
         if within + size <= PAGE_SIZE:
             # Fast path: the read stays within one page.
-            page = pages.get(index)
+            page = pages[index]
             if page is None:
                 return _ZERO_PAGE[:size]
             end = within + size
@@ -133,17 +145,19 @@ class PageStore:
                 return page[within:end]  # the image covers the range
             return page[within:end].ljust(size, b"\0")
         if within == 0 and size % PAGE_SIZE == 0:
-            # Page-aligned whole pages (the bulk-transfer common case):
-            # one lookup per page, every image taken by reference.
-            run = PageRun(list(map(pages.get, range(index, index + size // PAGE_SIZE),
-                                   repeat(b""))))
+            # Page-aligned whole pages (the bulk-transfer common case): one
+            # slice of the table, every image taken by reference.
+            span = pages[index:index + size // PAGE_SIZE]
+            if None in span:
+                span = [b"" if page is None else page for page in span]
+            run = PageRun(span)
             return run if as_run else bytes(run)
         chunks = []
         while size > 0:
             take = PAGE_SIZE - within
             if take > size:
                 take = size
-            chunks.append(pages.get(index, b"")[within:within + take].ljust(take, b"\0"))
+            chunks.append((pages[index] or b"")[within:within + take].ljust(take, b"\0"))
             size -= take
             index += 1
             within = 0
@@ -159,10 +173,10 @@ class PageStore:
         if type(data) is not bytes:
             if type(data) is PageRun and within == 0:
                 # Aligned run: install the page images themselves.
-                span = range(index, index + size // PAGE_SIZE)
-                pages.update(zip(span, data.pages))
+                end = index + size // PAGE_SIZE
+                pages[index:end] = data.pages
                 if dirty is not None:
-                    dirty.update(span)
+                    dirty.update(range(index, end))
                 return
             data = bytes(data)  # images are immutable
         pos = 0
@@ -176,7 +190,7 @@ class PageStore:
             else:
                 # A partial write builds a new image: the old one's head
                 # (zero-padded up to the write) and tail around the bytes.
-                page = pages.get(index, b"")
+                page = pages[index] or b""
                 tail = page[within + take:]
                 if within:
                     page = page[:within].ljust(within, b"\0") + data[pos:pos + take] + tail
@@ -195,12 +209,12 @@ class PageStore:
 
     @property
     def dirty_pages(self) -> Set[int]:
-        return set(self._pages if self._dirty is None else self._dirty)
+        return self._materialised() if self._dirty is None else set(self._dirty)
 
     def collect_dirty(self) -> Set[int]:
         """Return and clear the set of dirty page indices."""
         dirty, self._dirty = self._dirty, set()
-        return set(self._pages) if dirty is None else dirty
+        return self._materialised() if dirty is None else dirty
 
     def mark_all_dirty(self) -> None:
         """Mark every materialised page dirty (first pre-copy iteration)."""
@@ -215,7 +229,8 @@ class PageStore:
         if indices and (min(indices) < 0 or max(indices) >= self.num_pages):
             bad = next(i for i in indices if not 0 <= i < self.num_pages)
             raise ValueError(f"page index {bad} outside store")
-        return dict(zip(indices, map(self._pages.get, indices, repeat(b""))))
+        pages = self._pages
+        return {index: pages[index] or b"" for index in indices}
 
     def install_pages(self, pages: Dict[int, bytes]) -> None:
         """Install page images (from a migration transfer) into the store.
@@ -223,7 +238,7 @@ class PageStore:
         An image may be any length up to ``PAGE_SIZE``; the rest of its page
         reads as zeros.  Installed pages are not dirty."""
         if self._dirty is None:
-            self._dirty = set(self._pages)  # earlier writes stay dirty
+            self._dirty = self._materialised()  # earlier writes stay dirty
         for index, content in pages.items():
             if len(content) > PAGE_SIZE:
                 raise ValueError(f"page image must be at most {PAGE_SIZE} bytes, got {len(content)}")
@@ -233,6 +248,6 @@ class PageStore:
 
     def clone(self) -> "PageStore":
         other = PageStore(self.length)
-        other._pages = dict(self._pages)
+        other._pages = list(self._pages)
         other._dirty = None if self._dirty is None else set(self._dirty)
         return other

@@ -27,7 +27,6 @@ exactly one sweep implementation.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import multiprocessing
 import os
@@ -35,6 +34,8 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
+
+from repro.obs.digest import sha256
 
 __all__ = ["TaskSpec", "TaskResult", "run_tasks", "resolve_jobs", "derive_seed"]
 
@@ -47,7 +48,7 @@ def derive_seed(base_seed: int, index: int, stream: str = "sweep") -> int:
     ``stream`` name so two different sweeps sharing one base seed do not
     produce correlated task seeds.
     """
-    digest = hashlib.sha256(f"{stream}:{base_seed}:{index}".encode()).digest()
+    digest = sha256(f"{stream}:{base_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -23,7 +23,9 @@ class QPState(enum.Enum):
     ERR = "ERR"
 
     def can_post_send(self) -> bool:
-        return self is QPState.RTS
+        # IBA: a WR posted to a QP in Error is accepted and completes
+        # flushed; the app may post before it polls the CQE of the failure.
+        return self is QPState.RTS or self is QPState.ERR
 
     def can_post_recv(self) -> bool:
         return self in (QPState.INIT, QPState.RTR, QPState.RTS, QPState.SQD)

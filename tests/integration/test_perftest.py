@@ -6,6 +6,8 @@ from repro import cluster
 from repro.apps.contract import perftest_harness, run_contract
 from repro.apps.perftest import PerftestEndpoint, connect_endpoints
 from repro.beds import PerftestBed
+from repro.chaos.invariants import DEFAULT_REGISTRY
+from repro.chaos.plan import FaultPlan
 from repro.core import MigrRdmaWorld
 from repro.rnic import QPState
 
@@ -153,3 +155,35 @@ class TestErrorCompletions:
         assert victim.next_seq == victim.completed + sender.depth
         assert all(conn.completed == conn.next_seq for conn in sender.connections[1:])
         assert not bed.sim.failed_processes
+
+    def test_injected_qp_error_is_conserved(self):
+        """The ``qp_error`` fault on the sender's host 1 ms into traffic, no
+        migration.  The app may post into the ERR QP before it polls the
+        flush; that WR completes flushed too.  Every flushed WR counts as a
+        completion, so ``cqe-conservation`` holds, and ``completion-status``
+        names the flushes of a run not told to expect them.  A WR that never
+        completes still trips ``cqe-conservation``."""
+        bed = PerftestBed(4, depth=8)
+        bed.run(bed.setup())
+        plan = FaultPlan(seed=1).qp_error("src", bed.sim.now + 1e-3)
+        plan.install(bed)
+        bed.drive(2e-3, plan=plan, migrate=False)
+        assert plan.stats.qp_errors_fired == 1
+        report = DEFAULT_REGISTRY.run(bed.context(plan=plan))
+        assert report.ok, report.violations
+        sender = bed.sender
+        [victim] = [conn for conn in sender.connections if conn.errored]
+        assert victim.errors == len(sender.stats.status_errors) >= sender.depth
+        assert victim.next_seq == victim.completed + victim.errors
+        assert victim.outstanding == 0
+
+        unexpected = DEFAULT_REGISTRY.run(bed.context())
+        assert {name for name, _ in unexpected.violations} == {"completion-status"}
+        assert all(message.endswith("WR_FLUSH_ERR")
+                   for _, message in unexpected.violations)
+
+        victim.next_seq += 1  # one more WR posted, and no CQE for it
+        victim.outstanding += 1
+        lost = DEFAULT_REGISTRY.run(bed.context(plan=plan))
+        assert {name for name, _ in lost.violations} == {"cqe-conservation"}
+        assert any("neither ok nor error" in message for _, message in lost.violations)

@@ -1,5 +1,7 @@
 """Unit tests for the virtual-memory substrate (pages, VMAs, address spaces)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.config import PAGE_SIZE
@@ -77,6 +79,13 @@ class TestPageStore:
         store = PageStore(PAGE_SIZE)
         with pytest.raises(ValueError):
             store.snapshot_pages([5])
+        # a page table is a list: -1 would silently name the last page
+        store.write(0, b"last page")
+        with pytest.raises(ValueError):
+            store.snapshot_pages([-1])
+        with pytest.raises(ValueError):
+            store.install_pages({-1: b"x"})
+        assert store.read(0, 9) == b"last page"
 
     def test_mark_all_dirty_only_touches_materialised(self):
         store = PageStore(4 * PAGE_SIZE)
@@ -127,6 +136,43 @@ class TestPageStore:
         copy.write(0, b"copy")
         assert store.read(0, 4) == b"orig"
         assert copy.read(0, 4) == b"copy"
+
+    def test_empty_read_at_end_of_store(self):
+        # the DMA edge hypothesis found: ('dma', 0, 16384, 0, 0)
+        store = PageStore(4 * PAGE_SIZE)
+        assert store.read(4 * PAGE_SIZE, 0) == b""
+        assert store.read(4 * PAGE_SIZE, 0, as_run=True) == b""
+        with pytest.raises(ValueError):
+            store.read(4 * PAGE_SIZE + 1, 0)
+        with pytest.raises(ValueError):
+            store.read(0, -1)
+
+    def test_aligned_run_of_unwritten_pages_materialises(self):
+        src = PageStore(4 * PAGE_SIZE)
+        dst = PageStore(4 * PAGE_SIZE)
+        run = src.read(PAGE_SIZE, 2 * PAGE_SIZE, as_run=True)
+        assert run.pages == [b"", b""]
+        dst.write(PAGE_SIZE, run)
+        assert dst.touched_pages == 2
+        assert dst.dirty_pages == {1, 2}
+        assert dst.read(0, 4 * PAGE_SIZE) == bytes(4 * PAGE_SIZE)
+        assert src.touched_pages == 0
+
+    def test_dense_page_table_footprint(self):
+        # 32 768 pages of one shared image: the table holds one pointer a
+        # page (256 KiB), and no key object per page.
+        pages = 32768
+        run = PageRun([b"\1" * PAGE_SIZE] * pages)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            store = PageStore(pages * PAGE_SIZE)
+            store.write(0, run)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert store.touched_pages == pages
+        assert held < 400 * 1024, held
 
 
 class TestPageRun:

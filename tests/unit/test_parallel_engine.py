@@ -43,6 +43,7 @@ class TestDeriveSeed:
         # it silently re-seeds every sharded sweep).
         assert derive_seed(7, 0) == derive_seed(7, 0)
         assert derive_seed(7, 0) == 0xA8AFB18B8B720CEA
+        assert derive_seed(11, 0, stream="torture") == 7114904511635780322
 
     def test_index_and_stream_decorrelate(self):
         seeds = {derive_seed(7, i) for i in range(100)}
