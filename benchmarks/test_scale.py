@@ -11,7 +11,7 @@ wall-clock (events/sec) is guarded against >30% regressions the same way
 ``peak_rss_mb`` bound).
 
 The 256- and 1024-QP points always run; ``REPRO_BENCH_FULL=1`` adds
-4096 QPs (~4 min, ~0.16 GiB), whose committed point a default run keeps.
+4096 QPs (~4 min, ~0.14 GiB), whose committed point a default run keeps.
 """
 
 import json

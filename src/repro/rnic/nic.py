@@ -2,14 +2,17 @@
 
 Data path model
 ---------------
-Each QP gets an engine process that drains its send queue.  A work request
-is validated (lkey checks), gathered from local memory, and transmitted
-through the node's egress port — which meters everything at line rate and
-arbitrates between QPs.  RC requests carry a per-QP send sequence number
-(SSN); the responder executes strictly in SSN order, acknowledges, and the
-requester completes WRs in order.  Loss is handled go-back-N: a NAK or a
-retransmission timeout resends everything still inflight.  UD SENDs are
-fire-and-forget.
+Each QP's send engine drains its send queue.  A work request is validated
+(lkey checks), gathered from local memory, and transmitted through the
+node's egress port — which meters everything at line rate and arbitrates
+between QPs.  The engine and the responder's rx pipeline are callback
+state machines: every wait (WQE fetch, QoS shaping, the ``max_rd_atomic``
+stall, wire-done, UD completion) is one schedule entry carrying the WR,
+and a parked engine holds nothing but a flag (DESIGN.md §12.10).  RC
+requests carry a per-QP send sequence number (SSN); the responder
+executes strictly in SSN order, acknowledges, and the requester completes
+WRs in order.  Loss is handled go-back-N: a NAK or a retransmission
+timeout resends everything still inflight.  UD SENDs are fire-and-forget.
 
 Remote operations (SEND into a RECV buffer, RDMA WRITE/READ, ATOMIC,
 WRITE_WITH_IMM) move real bytes between address spaces and enforce
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.config import Config, QPN_SPACE
 from repro.fabric.message import Message
@@ -45,7 +49,7 @@ from repro.rnic.mr import MR, PD, DeviceMemory, KeyAllocator, MemoryWindow
 from repro.rnic.qp import QP
 from repro.rnic.srq import SRQ
 from repro.rnic.wr import RecvWR, SendWR
-from repro.sim import Interrupt, Queue, Simulator
+from repro.sim import Simulator
 
 _nic_ids = itertools.count(1)
 
@@ -94,6 +98,10 @@ class _ConnState:
         self.nak_sent = False  # NAKed expected_ssn: drop later ssns silently
 
 
+def _engine_stopped() -> None:
+    """The stopped engine's own completion: it wakes nobody."""
+
+
 class RNIC:
     """One RDMA NIC attached to a fabric node."""
 
@@ -123,21 +131,23 @@ class RNIC:
         self.srqs: Dict[int, SRQ] = {}
         self.dm_allocated = 0
 
-        self._engines: Dict[int, object] = {}  # qpn -> engine Process
         self._conn_state: Dict[Tuple[str, int], _ConnState] = {}
 
         # Control-path activity window: while firmware commands execute,
         # data-path processing pays a contention penalty (Figure 5 brownout).
         self._control_busy_until = -1.0
 
-        # Requests are executed by a serial rx worker so responder-side
+        # Requests are executed by a serial rx pipeline so responder-side
         # contention delays are ordered per NIC.  _rx_backlog counts items
-        # handed to the worker but not yet executed; while it is zero and no
-        # contention applies, requests take a synchronous fast path instead
-        # of a queue round-trip (order is trivially preserved).
-        self._rx_queue: Queue = Queue(sim)
+        # handed to the pipeline but not yet executed; while it is zero and
+        # no contention applies, requests take a synchronous fast path
+        # instead of a queue round-trip (order is trivially preserved).
+        # _rx_idle: the pipeline waits on an empty _rx_items, so the next
+        # request is served by its own entry instead of being queued.
+        self._rx_items: Deque[tuple] = deque()
+        self._rx_idle = False
         self._rx_backlog = 0
-        sim.spawn(self._rx_worker(), name=f"{self.name}:rx")
+        sim.schedule(0.0, self._rx_next)
 
         # CQE delivery coalescing: completions raised back-to-back at the
         # same simulated time share one completion_delivery_s event.
@@ -228,7 +238,7 @@ class RNIC:
                 max_rd_atomic=max_rd_atomic, max_inline_data=max_inline_data,
                 tenant=tenant)
         self.qps[qpn] = qp
-        self._engines[qpn] = self.sim.spawn(self._engine(qp), name=f"{self.name}:qp{qpn:#x}")
+        self.sim.schedule(0.0, self._engine_next, qp)  # the engine starts
         return qp
 
     def _allocate_qpn(self) -> int:
@@ -268,11 +278,8 @@ class RNIC:
         if self.qos is not None and not qp.destroyed:
             self.qos.release_qp(qp.tenant)
         qp.destroyed = True
-        engine = self._engines.pop(qp.qpn, None)
-        if engine is not None:
-            engine.interrupt("destroy_qp")
-        qp.doorbell = None
-        self.qps.pop(qp.qpn, None)
+        if self.qps.pop(qp.qpn, None) is qp:
+            self.sim.schedule(0.0, self._engine_stop, qp)
         self._reset_rto(qp)
 
     def alloc_mw(self, pd: PD):
@@ -303,15 +310,21 @@ class RNIC:
     def post_send(self, qp: QP, wr: SendWR) -> None:
         if qp.qpn not in self.qps:
             raise QPStateError(f"QP {qp.qpn:#x} does not belong to {self.name}")
+        if qp.qp_type is QPType.UD:
+            # Refused at post time, like ibv_post_send's EINVAL: the engine
+            # never sees a WR it cannot put on the wire.
+            if not wr.opcode.is_two_sided:
+                raise QPStateError("UD QPs only support SEND operations")
+            if wr.remote_node is None or wr.remote_qpn is None:
+                raise QPStateError("UD SEND requires remote_node and remote_qpn in the WR")
         qp.enqueue_send(wr)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(tracer.lane(self.node.name, "rnic"), "doorbell",
                            {"qpn": qp.qpn})
-        doorbell = qp.doorbell
-        if doorbell is not None:
-            qp.doorbell = None
-            doorbell.succeed()
+        if qp.doorbell:
+            qp.doorbell = False
+            self.sim.schedule(0.0, self._engine_next, qp)
 
     def post_recv(self, qp: QP, wr: RecvWR) -> None:
         qp.enqueue_recv(wr)
@@ -322,40 +335,57 @@ class RNIC:
     # ------------------------------------------------------------------
     # Engine: per-QP send-queue processing
     # ------------------------------------------------------------------
+    #
+    # A callback state machine, one schedule entry per wait; the WR rides
+    # in the entry's arguments.  qp.engine_entry is the pending timed step
+    # (WQE fetch, QoS shaping, UD completion) that destroy_qp cancels; a
+    # wire-done, rd-slot or doorbell entry already on its way fires into
+    # the stopped engine and does nothing (DESIGN.md §12.10).
 
-    def _engine(self, qp: QP):
-        cfg = self.config.rnic
-        doorbell_s = cfg.doorbell_s
-        per_wqe_s = cfg.per_wqe_processing_s
-        try:
-            while True:
-                if not qp.sq_pending:
-                    qp.doorbell = doorbell = self.sim.event()
-                    yield doorbell
-                    continue
-                wr = qp.sq_pending.pop(0)
-                tracer = self.sim.tracer
-                span = None
-                if tracer is not None and tracer.enabled:
-                    span = tracer.begin_span(
-                        tracer.lane(self.node.name, f"qp{qp.qpn:#x}"),
-                        wr.opcode.name, {"bytes": wr.total_length})
-                yield self.sim.timeout(doorbell_s + per_wqe_s)
-                if qp.state is not QPState.RTS:
-                    self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
-                    if span is not None:
-                        span.end(status="flush")
-                    continue
-                if wr.opcode is Opcode.BIND_MW:
-                    self._execute_bind_mw(qp, wr)
-                    if span is not None:
-                        span.end()
-                    continue
-                yield from self._transmit(qp, wr)
-                if span is not None:
-                    span.end()
-        except Interrupt:
+    def _engine_next(self, qp: QP) -> None:
+        """Fetch the next WQE, or park on an empty send queue."""
+        if not qp.engine_live:
             return
+        if not qp.sq_pending:
+            qp.doorbell = True
+            return
+        wr = qp.sq_pending.pop(0)
+        tracer = self.sim.tracer
+        span = None
+        if tracer is not None and tracer.enabled:
+            span = tracer.begin_span(
+                tracer.lane(self.node.name, f"qp{qp.qpn:#x}"),
+                wr.opcode.name, {"bytes": wr.total_length})
+        cfg = self.config.rnic
+        qp.engine_entry = self.sim.schedule(
+            cfg.doorbell_s + cfg.per_wqe_processing_s, self._engine_wqe, qp, wr, span)
+
+    def _engine_wqe(self, qp: QP, wr: SendWR, span) -> None:
+        """The WQE is fetched and processed: execute it."""
+        qp.engine_entry = None
+        if qp.state is not QPState.RTS:
+            self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
+            if span is not None:
+                span.end(status="flush")
+        elif wr.opcode is Opcode.BIND_MW:
+            self._execute_bind_mw(qp, wr)
+            if span is not None:
+                span.end()
+        elif self._transmit(qp, wr, span):
+            return  # a later entry carries the WR on
+        elif span is not None:
+            span.end()
+        self._engine_next(qp)
+
+    def _engine_stop(self, qp: QP) -> None:
+        """destroy_qp's stop, delivered as the engine's next dispatch."""
+        qp.engine_live = False
+        qp.doorbell = False
+        entry = qp.engine_entry
+        if entry is not None:
+            qp.engine_entry = None
+            self.sim.cancel(entry)
+        self.sim.schedule(0.0, _engine_stopped)
 
     def _execute_bind_mw(self, qp: QP, wr: SendWR) -> None:
         """BIND_MW executes locally on the NIC (no wire traffic)."""
@@ -407,7 +437,9 @@ class RNIC:
         npackets = (payload_bytes + mtu - 1) // mtu or 1
         return payload_bytes + npackets * REQUEST_HEADER_BYTES
 
-    def _transmit(self, qp: QP, wr: SendWR):
+    def _transmit(self, qp: QP, wr: SendWR, span) -> bool:
+        """Gather and issue one WR; True when a later entry carries it on,
+        False when it is finished here (an access error or a flush)."""
         ssn = qp.next_ssn()
         try:
             if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
@@ -417,7 +449,7 @@ class RNIC:
             self._complete_send(qp, wr, ssn, WCStatus.LOC_PROT_ERR, force=True)
             qp.force_error()
             self._flush_sq(qp)
-            return
+            return False
 
         if self.qos is not None and qp.tenant is not None:
             # Token-bucket shaping: charge the wire footprint this WR will
@@ -431,27 +463,55 @@ class RNIC:
                 shaped_bytes = self._wire_size(wr.wire_payload_bytes)
             delay = self.qos.reserve(qp.tenant, shaped_bytes, self.sim.now)
             if delay > 0.0:
-                yield self.sim.timeout(delay)
-                if qp.destroyed or qp.state is not QPState.RTS:
-                    self._complete_send(qp, wr, ssn, WCStatus.WR_FLUSH_ERR, force=True)
-                    return
+                qp.engine_entry = self.sim.schedule(
+                    delay, self._engine_shaped, qp, wr, ssn, data, span)
+                return True
+        self._issue(qp, wr, ssn, data, span)
+        return True
 
+    def _engine_shaped(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
+        """The tenant's token bucket admitted the WR."""
+        qp.engine_entry = None
+        self._engine_resume(qp, wr, ssn, data, span)
+
+    def _engine_rd_slot(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
+        """A READ/ATOMIC slot freed up while the WR stalled on it."""
+        if qp.engine_live:
+            self._engine_resume(qp, wr, ssn, data, span)
+
+    def _engine_resume(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
+        """Carry a WR on after a wait, or flush it if its QP left RTS."""
+        if not qp.destroyed and qp.state is QPState.RTS:
+            self._issue(qp, wr, ssn, data, span)
+            return
+        self._complete_send(qp, wr, ssn, WCStatus.WR_FLUSH_ERR, force=True)
+        if span is not None:
+            span.end()
+        self._engine_next(qp)
+
+    def _issue(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
+        """Hand the WR to the port, or stall it on the initiator depth."""
         if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
             # IB initiator-depth limit: at most max_rd_atomic outstanding
             # READ/ATOMIC requests; the send queue stalls otherwise.
-            while qp.outstanding_rd_atomic >= qp.max_rd_atomic:
-                waiter = self.sim.event()
-                qp._rd_slot_waiter = waiter
-                yield waiter
-                if qp.destroyed or qp.state is not QPState.RTS:
-                    self._complete_send(qp, wr, ssn, WCStatus.WR_FLUSH_ERR, force=True)
-                    return
+            if qp.outstanding_rd_atomic >= qp.max_rd_atomic:
+                qp._rd_slot_waiter = (wr, ssn, data, span)
+                return
             qp.outstanding_rd_atomic += 1
         qp.sq_inflight[ssn] = wr
         if qp.qp_type is QPType.UD:
-            yield from self._transmit_ud(qp, wr, ssn, data)
+            payload = {
+                "kind": "req", "opcode": wr.opcode.value, "src_qpn": qp.qpn,
+                "dst_qpn": wr.remote_qpn, "ssn": ssn, "data": data,
+                "imm": wr.imm_data, "ud": True,
+            }
+            size = self._wire_size(len(data))
+            self.node.port.transmit_deferred(
+                size, self._engine_ud_sent, qp, wr, ssn, size, payload, span)
         else:
-            yield from self._transmit_rc(qp, wr, ssn, data)
+            size, payload = self._rc_request(qp, wr, ssn, data)
+            self.node.port.transmit_deferred(
+                size, self._engine_rc_sent, qp, ssn, size, payload, span)
 
     def _gather_check_only(self, qp: QP, wr: SendWR) -> None:
         for sge in wr.sges:
@@ -462,44 +522,51 @@ class RNIC:
                 raise AccessError("SGE MR belongs to a different PD")
             mr.check_local(sge.addr, sge.length, write=True)
 
-    def _transmit_ud(self, qp: QP, wr: SendWR, ssn: int, data: Payload):
-        if not wr.opcode.is_two_sided:
-            raise QPStateError("UD QPs only support SEND operations")
-        if wr.remote_node is None or wr.remote_qpn is None:
-            raise QPStateError("UD SEND requires remote_node and remote_qpn in the WR")
-        payload = {
-            "kind": "req", "opcode": wr.opcode.value, "src_qpn": qp.qpn,
-            "dst_qpn": wr.remote_qpn, "ssn": ssn, "data": data,
-            "imm": wr.imm_data, "ud": True,
-        }
-        size = self._wire_size(len(data))
-        done = self.node.port.transmit(size)
-        yield done
+    def _engine_ud_sent(self, qp: QP, wr: SendWR, ssn: int, size: int, payload: dict,
+                        span) -> None:
+        """A UD datagram left the port; it completes once delivered."""
+        if not qp.engine_live:
+            return
         self.tx_bytes += size
         self.tx_msgs += 1
-        self.node.network.transmit_raw(self.node.name, wr.remote_node, size, RDMA_PROTOCOL, payload)
-        # UD completes once the datagram is on the wire.
-        yield self.sim.timeout(self.config.rnic.completion_delivery_s)
-        self._ack_progress(qp, ssn, WCStatus.SUCCESS)
+        self.node.network.transmit_raw(self.node.name, wr.remote_node, size, RDMA_PROTOCOL,
+                                       payload)
+        qp.engine_entry = self.sim.schedule(
+            self.config.rnic.completion_delivery_s, self._engine_ud_done, qp, ssn, span)
 
-    def _transmit_rc(self, qp: QP, wr: SendWR, ssn: int, data: Payload):
-        """Put one RC request on the wire (first transmission and every
-        retransmission); start the QP's idle RTO timer unless every WR
-        that has left the port is acked (a resend can trail its ACK)."""
-        payload = self._request_payload(qp, wr, ssn, data)
-        size = self._wire_size(len(data) or wr.wire_payload_bytes)
-        node = self.node
-        yield node.port.transmit(size)
+    def _engine_ud_done(self, qp: QP, ssn: int, span) -> None:
+        qp.engine_entry = None
+        self._ack_progress(qp, ssn, WCStatus.SUCCESS)
+        if span is not None:
+            span.end()
+        self._engine_next(qp)
+
+    def _engine_rc_sent(self, qp: QP, ssn: int, size: int, payload: dict, span) -> None:
+        """A first transmission left the port."""
+        if not qp.engine_live:
+            return
+        self._rc_on_wire(qp, ssn, size, payload)
+        if span is not None:
+            span.end()
+        self._engine_next(qp)
+
+    def _rc_on_wire(self, qp: QP, ssn: int, size: int, payload: dict) -> None:
+        """Wire-done of an RC request (first transmission and every
+        retransmission): book it, hand it to the switch, and start the
+        QP's idle RTO timer unless every WR that has left the port is
+        acked (a resend can trail its ACK)."""
         self.tx_bytes += size
         self.tx_msgs += 1
+        node = self.node
         node.network.transmit_raw(node.name, qp.remote_node, size, RDMA_PROTOCOL, payload)
         if ssn > qp.wire_ssn:
             qp.wire_ssn = ssn
         if qp.rto_entry is None and qp.wire_ssn >= qp.sq_completed:
             qp.rto_entry = self.sim.schedule(self._rto_s, self._rto_expired, qp)
 
-    def _request_payload(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> dict:
-        return {
+    def _rc_request(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> Tuple[int, dict]:
+        """Wire size and payload of one RC request (first send or resend)."""
+        return self._wire_size(len(data) or wr.wire_payload_bytes), {
             # _value_ is .value without the descriptor call
             "kind": "req", "opcode": wr.opcode._value_, "src_node": self.node.name,
             "src_qpn": qp.qpn, "dst_qpn": qp.remote_qpn, "ssn": ssn, "data": data,
@@ -552,7 +619,9 @@ class RNIC:
                 except AccessError:
                     self._fail_connection(qp, ssn, WCStatus.LOC_PROT_ERR)
                     return
-                yield from self._transmit_rc(qp, wr, ssn, data)
+                size, payload = self._rc_request(qp, wr, ssn, data)
+                yield self.node.port.transmit(size)
+                self._rc_on_wire(qp, ssn, size, payload)
         finally:
             qp.going_back = False
 
@@ -564,14 +633,16 @@ class RNIC:
         self._flush_sq(qp)
 
     def _flush_sq(self, qp: QP) -> None:
-        """Flush pending+inflight WRs with WR_FLUSH_ERR after an error."""
+        """Flush inflight then pending WRs with WR_FLUSH_ERR after an
+        error: in posting order, as IBA requires.  The WR the engine holds
+        (WQE fetch, shaping, rd-slot stall) flushes when its entry fires."""
         qp._acked.clear()
-        pending, qp.sq_pending = qp.sq_pending, []
-        for wr in pending:
-            self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
         for ssn in sorted(qp.sq_inflight):
             wr = qp.sq_inflight.pop(ssn)
             self._complete_send(qp, wr, ssn, WCStatus.WR_FLUSH_ERR, force=True)
+        pending, qp.sq_pending = qp.sq_pending, []
+        for wr in pending:
+            self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
         self._reset_rto(qp)
 
     # ------------------------------------------------------------------
@@ -590,7 +661,12 @@ class RNIC:
                 return
             # Counted when the (possibly contended) rx pipeline delivers it.
             self._rx_backlog += 1
-            self._rx_queue.put((message.src, message.size_bytes, payload))
+            if self._rx_idle:
+                self._rx_idle = False
+                self.sim.schedule(0.0, self._rx_execute, message.src, message.size_bytes,
+                                  payload)
+            else:
+                self._rx_items.append((message.src, message.size_bytes, payload))
             return
         self.rx_bytes += message.size_bytes
         self.rx_msgs += 1
@@ -603,24 +679,32 @@ class RNIC:
         else:
             raise ValueError(f"{self.name}: unknown RDMA message kind {kind!r}")
 
-    def _rx_worker(self):
-        """Serially execute incoming requests.
+    def _rx_next(self) -> None:
+        """Serve the next queued request in its own entry, or go idle."""
+        if self._rx_items:
+            self.sim.schedule(0.0, self._rx_execute, *self._rx_items.popleft())
+        else:
+            self._rx_idle = True
+
+    def _rx_execute(self, src_node: str, size_bytes: int, payload: dict,
+                    stretched: bool = False) -> None:
+        """Execute one request, serially.
 
         Normally the pipeline keeps up with the wire; while the NIC is
         control-busy its processing units are shared, so each request pays
         ``(1 + rx_frac)`` of its wire time — a sub-line-rate stretch that
         produces the slight brownout dips of Figure 5 (Kong et al.).
         """
-        while True:
-            src_node, size_bytes, payload = yield self._rx_queue.get()
-            if self.control_busy:
-                frac = self.config.rnic.control_contention_rx_frac
-                yield self.sim.timeout(
-                    (1.0 + frac) * size_bytes * 8.0 / self.node.port.rate_bps)
-            self.rx_bytes += size_bytes
-            self.rx_msgs += 1
-            self._handle_request(src_node, payload)
-            self._rx_backlog -= 1
+        if not stretched and self.control_busy:
+            frac = self.config.rnic.control_contention_rx_frac
+            self.sim.schedule((1.0 + frac) * size_bytes * 8.0 / self.node.port.rate_bps,
+                              self._rx_execute, src_node, size_bytes, payload, True)
+            return
+        self.rx_bytes += size_bytes
+        self.rx_msgs += 1
+        self._handle_request(src_node, payload)
+        self._rx_backlog -= 1
+        self._rx_next()
 
     # -- responder -------------------------------------------------------------
 
@@ -906,10 +990,10 @@ class RNIC:
     def _release_rd_slot(self, qp: QP) -> None:
         """A READ/ATOMIC completed: free its initiator-depth slot."""
         qp.outstanding_rd_atomic = max(0, qp.outstanding_rd_atomic - 1)
-        waiter = qp._rd_slot_waiter
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed()
+        stalled = qp._rd_slot_waiter
+        if stalled is not None:
             qp._rd_slot_waiter = None
+            self.sim.schedule(0.0, self._engine_rd_slot, qp, *stalled)
 
     def _complete_send(self, qp: QP, wr: SendWR, ssn: int, status: WCStatus,
                        byte_len: int = 0, force: bool = False) -> None:

@@ -34,7 +34,7 @@ class QP:
         "sq_inflight", "sq_posted", "sq_completed", "_next_ssn", "rq",
         "n_sent_two_sided", "n_recv_completed", "rto_entry", "retries",
         "wire_ssn", "going_back", "_acked", "_rd_slot_waiter", "doorbell",
-        "destroyed",
+        "engine_entry", "engine_live", "destroyed",
     )
 
     def __init__(
@@ -103,12 +103,19 @@ class QP:
         #: acknowledged out of order, waiting for in-SSN-order completion:
         #: ssn -> (wr, status, byte_len)
         self._acked: Dict[int, tuple] = {}
-        #: the engine's event while it stalls on the max_rd_atomic limit
+        # Send-engine state (repro.rnic.nic): nothing but these slots while
+        # the engine is parked.
+        #: (wr, ssn, data, span) of the WR stalled on the max_rd_atomic limit
         self._rd_slot_waiter = None
-        #: the engine's event while it waits on an empty send queue; the
-        #: next post rings it once (one-shot: posts while the engine is
-        #: busy find None and cost nothing)
-        self.doorbell = None
+        #: True while the engine is parked on an empty send queue; the next
+        #: post rings it once (posts while the engine is busy find False
+        #: and cost nothing)
+        self.doorbell = False
+        #: heap entry of the engine's pending timed step (WQE fetch, QoS
+        #: shaping, UD completion): what destroy_qp cancels
+        self.engine_entry: Optional[list] = None
+        #: False once destroy_qp has stopped the engine
+        self.engine_live = True
 
         self.destroyed = False
 

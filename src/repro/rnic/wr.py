@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.rnic.constants import ATOMIC_OPERAND_BYTES, Opcode
 
 
-@dataclass
+@dataclass(slots=True)
 class SGE:
     """A scatter/gather element: local buffer described by an lkey."""
 
@@ -21,7 +21,7 @@ class SGE:
             raise ValueError(f"negative SGE length: {self.length}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SendWR:
     """A send-queue work request (SEND / WRITE / READ / ATOMIC / BIND_MW)."""
 
@@ -73,7 +73,7 @@ class SendWR:
         return self.total_length
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvWR:
     """A receive-queue work request."""
 
@@ -91,12 +91,26 @@ class RecvWR:
 def clone_send_wr(wr: SendWR) -> SendWR:
     """A shallow-ish copy safe to re-post (used by WR replay after restore).
 
-    Built via ``__new__`` + dict copy: the source WR was validated at
+    Built via ``__new__`` + field copies: the source WR was validated at
     construction, so re-running ``__init__``/``__post_init__`` on this hot
     path (every intercepted/translated WR) would be pure overhead.
     """
     new = SendWR.__new__(SendWR)
-    new.__dict__.update(wr.__dict__)
+    new.wr_id = wr.wr_id
+    new.opcode = wr.opcode
+    new.signaled = wr.signaled
+    new.imm_data = wr.imm_data
+    new.remote_addr = wr.remote_addr
+    new.rkey = wr.rkey
+    new.compare_add = wr.compare_add
+    new.swap = wr.swap
+    new.remote_node = wr.remote_node
+    new.remote_qpn = wr.remote_qpn
+    new.bind_mw = wr.bind_mw
+    new.bind_mr = wr.bind_mr
+    new.bind_access = wr.bind_access
+    new.inline = wr.inline
+    new.inline_data = wr.inline_data
     sges = []
     for s in wr.sges:
         c = SGE.__new__(SGE)

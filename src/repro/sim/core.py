@@ -6,6 +6,13 @@ in order.  Work is expressed as generator-based processes that ``yield``
 events; a process resumes when the yielded event fires, receiving the
 event's value (or the event's exception, raised inside the generator).
 
+The per-message data path does without processes: the egress
+:class:`~repro.fabric.port.Port`, the RNIC send engines and the RNIC rx
+pipeline are callback state machines whose every wait is one ``schedule``
+entry, pushed in exactly the slot the process's event would have taken
+(DESIGN.md §12.10).  Processes remain for control paths, applications and
+the migration workflow, where a wait spans many steps.
+
 Scheduler
 ---------
 The pending-event schedule is one binary heap (``heapq``) of mutable

@@ -1,9 +1,11 @@
 """Synchronisation primitives built on the event kernel.
 
-These are the coordination tools the fabric and RNIC models use: a FIFO
-:class:`Queue` for message passing, a :class:`Broadcast` signal for
-suspension/wake notifications, and a counting :class:`Resource` for modelling
-contention (e.g. NIC processing slots).
+Coordination tools for processes: a FIFO :class:`Queue` for message
+passing, a :class:`Broadcast` signal for suspension/wake notifications (the
+indirection layer and wait-before-stop use it), and a counting
+:class:`Resource` for modelling contention (e.g. NIC processing slots).
+The per-message fabric and RNIC paths use none of them: they are callback
+state machines on the schedule (DESIGN.md §12.10).
 """
 
 from __future__ import annotations

@@ -176,6 +176,10 @@ class TestErrorCompletions:
         assert victim.errors == len(sender.stats.status_errors) >= sender.depth
         assert victim.next_seq == victim.completed + victim.errors
         assert victim.outstanding == 0
+        # IBA order: the flush completes the WRs in the order they were posted
+        error_ids = [int(message.split()[1]) for message in sender.stats.status_errors]
+        assert all(older < younger for older, younger in zip(error_ids, error_ids[1:])), \
+            error_ids
 
         unexpected = DEFAULT_REGISTRY.run(bed.context())
         assert {name for name, _ in unexpected.violations} == {"completion-status"}

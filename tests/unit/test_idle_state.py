@@ -2,11 +2,10 @@
 
 Linux soft-dirty semantics for :class:`~repro.mem.PageStore` (no dirty set
 until the first pre-dump clears the bits) and the RNIC engine's one-shot
-doorbell, plus the per-QP footprint both keep small.
+doorbell flag, plus the per-QP footprint both keep small.
 """
 
 import gc
-import sys
 import tracemalloc
 
 from repro import cluster
@@ -20,9 +19,10 @@ from repro.verbs.api import make_sge
 
 from tests.helpers import build_pair, poll_until
 
-#: Per-QP setup bytes (CPython 3.11): ~8.0 KiB with list queues, a
-#: doorbell slot and soft-dirty stores; ~19.8 KiB with deques, a kick
-#: ``Queue`` per QP and a dirty set on every store.
+#: Per-QP setup bytes (CPython 3.11): ~8.5 KiB with list queues, a
+#: doorbell flag, no engine process and soft-dirty stores; ~10.1 KiB with
+#: an engine ``Process`` per QP; ~19.8 KiB with deques, a kick ``Queue``
+#: per QP and a dirty set on every store.
 PER_QP_BOUND_BYTES = 12 * 1024
 
 
@@ -100,63 +100,70 @@ class TestSoftDirty:
         assert image.memory.page_count == 2
 
 
-def _engine_parks(tb, monkeypatch):
-    """Every event the RNIC engine creates to park on an empty send
-    queue; the triggered ones are its wakeups."""
-    parks = []
-    make = tb.sim.event
-
-    def event():
-        created = make()
-        if sys._getframe(1).f_code is RNIC._engine.__code__:
-            parks.append(created)
-        return created
-
-    monkeypatch.setattr(tb.sim, "event", event)
-    return parks
-
-
-def _write(a, b, wr_id):
-    return SendWR(wr_id=wr_id, opcode=Opcode.RDMA_WRITE, sges=[make_sge(a.mr, 0, 8)],
-                  remote_addr=b.mr.addr, rkey=b.mr.rkey)
-
-
 class TestDoorbell:
-    def _mid_wr(self, tb, a, b):
+    def _mid_wr(self, tb, a, b, wakes):
         """Post WR 0 to the parked engine and run into its WQE fetch."""
         qp = a.qp
-        parked = qp.doorbell
-        assert parked is not None and not parked.triggered
+        assert qp.doorbell and not _engine_entries(tb.sim, qp)  # parked: holds nothing
         a.lib.post_send(qp, _write(a, b, 0))
-        assert parked.triggered and qp.doorbell is None
+        assert not qp.doorbell and len(wakes) == 1  # one post wakes it once
         rnic = tb.source.rnic.config.rnic
         tb.sim.run(until=tb.sim.now + (rnic.doorbell_s + rnic.per_wqe_processing_s) / 2)
-        assert qp.doorbell is None and not qp.sq_pending  # engine holds WR 0
+        assert not qp.doorbell and not qp.sq_pending  # engine holds WR 0
 
     def test_posts_while_mid_wr_wake_nothing_and_all_complete(self, monkeypatch):
         tb, a, b = build_pair(depth=8)
-        self._mid_wr(tb, a, b)
-        parks = _engine_parks(tb, monkeypatch)
+        wakes = _engine_wakeups(tb, monkeypatch)
+        self._mid_wr(tb, a, b, wakes)
         a.lib.post_send(a.qp, _write(a, b, 1))
         a.lib.post_send(a.qp, _write(a, b, 2))
-        assert a.qp.doorbell is None  # nothing to ring: the engine is busy
+        assert not a.qp.doorbell and len(wakes) == 1  # the engine is busy
         wcs = tb.run(poll_until(tb, a.lib, a.cq, 3))
         assert [wc.wr_id for wc in wcs] == [0, 1, 2]
         assert all(wc.status is WCStatus.SUCCESS for wc in wcs)
-        # the engine drained all three, then parked once and is still parked
-        assert len(parks) == 1 and not parks[0].triggered
-        assert a.qp.doorbell is parks[0]
+        # the engine drained all three, then parked and is still parked
+        assert len(wakes) == 1 and a.qp.doorbell
+        assert not _engine_entries(tb.sim, a.qp)
 
     def test_flush_while_mid_wr_leaves_no_stale_wakeup(self, monkeypatch):
         tb, a, b = build_pair(depth=8)
-        self._mid_wr(tb, a, b)
+        wakes = _engine_wakeups(tb, monkeypatch)
+        self._mid_wr(tb, a, b, wakes)
         a.lib.post_send(a.qp, _write(a, b, 1))
         a.lib.post_send(a.qp, _write(a, b, 2))
-        parks = _engine_parks(tb, monkeypatch)
         a.qp.force_error()
         tb.source.rnic._flush_sq(a.qp)
         wcs = tb.run(poll_until(tb, a.lib, a.cq, 3))
         assert sorted(wc.wr_id for wc in wcs) == [0, 1, 2]
         assert all(wc.status is WCStatus.WR_FLUSH_ERR for wc in wcs)
         tb.sim.run(until=tb.sim.now + 1e-3)
-        assert len(parks) == 1 and not parks[0].triggered
+        assert len(wakes) == 1 and a.qp.doorbell
+        assert not _engine_entries(tb.sim, a.qp)
+
+
+def _engine_wakeups(tb, monkeypatch):
+    """Every schedule entry that wakes a parked RNIC engine (the one a
+    post to it rings)."""
+    wakes = []
+    schedule = tb.sim.schedule
+
+    def spy(delay, callback, *args):
+        entry = schedule(delay, callback, *args)
+        if getattr(callback, "__func__", None) is RNIC._engine_next:
+            wakes.append(entry)
+        return entry
+
+    monkeypatch.setattr(tb.sim, "schedule", spy)
+    return wakes
+
+
+def _engine_entries(sim, qp):
+    """Pending schedule entries of ``qp``'s send engine."""
+    return [entry for entry in sim._heap
+            if getattr(entry[2], "__name__", "").startswith("_engine_")
+            and entry[3][:1] == (qp,)]
+
+
+def _write(a, b, wr_id):
+    return SendWR(wr_id=wr_id, opcode=Opcode.RDMA_WRITE, sges=[make_sge(a.mr, 0, 8)],
+                  remote_addr=b.mr.addr, rkey=b.mr.rkey)

@@ -62,8 +62,13 @@ class TestWrValidation:
         assert SendWR(wr_id=3, opcode=Opcode.SEND).total_length == 0
 
     def test_clone_send_wr_is_deep_for_sges(self):
-        wr = SendWR(wr_id=1, opcode=Opcode.SEND, sges=[SGE(0x1000, 64, 7)])
+        wr = SendWR(wr_id=1, opcode=Opcode.SEND, sges=[SGE(0x1000, 64, 7)],
+                    signaled=False, imm_data=5, remote_addr=0x2000, rkey=3,
+                    compare_add=4, swap=6, remote_node="n", remote_qpn=9,
+                    bind_mw=object(), bind_mr=object(), bind_access=object(),
+                    inline=True, inline_data=b"x")
         copy = clone_send_wr(wr)
+        assert copy == wr  # every field copied
         copy.sges[0].lkey = 99
         assert wr.sges[0].lkey == 7
 
