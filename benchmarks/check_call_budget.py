@@ -23,14 +23,14 @@ import re
 import sys
 
 #: workload -> (sim.events_processed, min sim.events_credited, *.calls budget)
-#: Budgets are the measured counts of the callback RNIC data path
-#: (DESIGN.md §12.10) rounded up to 10 000.
+#: Budgets are the measured counts with tail hand-offs and the fixed-delay
+#: RTO queue (DESIGN.md §12.11) rounded up to 10 000.
 BUDGETS = {
-    "migrate_ref": (98_955, 358, 2_020_000),
-    "migrate_fanout": (783_513, 6_753, 15_880_000),
+    "migrate_ref": (98_955, 358, 1_980_000),
+    "migrate_fanout": (783_513, 6_753, 15_550_000),
     # per-QP RTO: duplicate go-back-N resends gone (was 154_323, 23_000)
-    "fleet_drain": (152_214, 22_950, 2_130_000),
-    "kv_noisy": (369_787, 110_000, 6_610_000),
+    "fleet_drain": (152_214, 22_950, 2_120_000),
+    "kv_noisy": (369_787, 110_000, 6_520_000),
 }
 SEED = 7
 HEADROOM = 0.05

@@ -314,6 +314,12 @@ class KvStats(PerftestStats):
     get_misses: int = 0
     cas_attempts: int = 0
     cas_acquired: int = 0
+    #: client ops: every issued op ends completed or failed (its QP went
+    #: to ERR under it); ``ops_issued == ops_completed + ops_failed`` once
+    #: none is pending
+    ops_issued: int = 0
+    ops_completed: int = 0
+    ops_failed: int = 0
 
 
 def check_kv_history(clients, server) -> List[str]:
@@ -401,6 +407,15 @@ def check_kv_history(clients, server) -> List[str]:
 # ---------------------------------------------------------------------------
 # Server
 # ---------------------------------------------------------------------------
+
+
+def _retire_error(conn: Connection, wc) -> None:
+    """An error or flush CQE completes its send-queue WR too, and tells
+    that the QP is in ERR: nothing more is posted to it."""
+    if wc.opcode is not Opcode.RECV:
+        conn.outstanding -= 1
+        conn.errors += 1
+    conn.errored = True
 
 
 class KvServer(BusyPoller):
@@ -532,6 +547,7 @@ class KvServer(BusyPoller):
         if not wc.ok:
             self.stats.status_errors.append(
                 f"{self.name} wr {wc.wr_id} on {wc.qp_num:#x}: {wc.status.value}")
+            _retire_error(conn, wc)
             return
         if wc.opcode is Opcode.RECV:
             self._handle_request(conn, wc)
@@ -569,6 +585,8 @@ class KvServer(BusyPoller):
         return version, bucket, True
 
     def _handle_request(self, conn: Connection, wc) -> None:
+        if conn.errored:
+            return  # the QP is in ERR: no reply, no RECV repost
         conn.recv_completed += 1
         self.stats.recv_completed += 1
         if wc.wr_id != conn.expect_recv_seq:
@@ -758,6 +776,8 @@ class KvClient(BusyPoller):
                 IDLE_POLL_S if len(self._ops) >= self.depth else None)
 
     def _issue_ops(self) -> None:
+        if self.conn.errored:
+            return
         while len(self._ops) < self.depth and self._free_slots:
             if self._iters_left is not None:
                 if self._iters_left <= 0:
@@ -775,6 +795,7 @@ class KvClient(BusyPoller):
         op = _KvOp(op_id=next(self._op_ids), kind="", key=key, slot=slot,
                    t_invoke=self.server.sim.now, fp=self.layout.fingerprint(key))
         self._ops[op.op_id] = op
+        self.stats.ops_issued += 1
         if r < put_w:
             op.kind = "put"
             self._issue_put(op)
@@ -848,6 +869,11 @@ class KvClient(BusyPoller):
         if not wc.ok:
             self.stats.status_errors.append(
                 f"{self.name} wr {wc.wr_id} on {wc.qp_num:#x}: {wc.status.value}")
+            _retire_error(conn, wc)
+            self._wr_ops.pop(wc.wr_id, None)
+            # The client's one QP is in ERR: no pending op can complete.
+            for op in list(self._ops.values()):
+                self._fail(op)
             return
         if wc.opcode is Opcode.RECV:
             self._handle_reply(wc)
@@ -937,6 +963,8 @@ class KvClient(BusyPoller):
 
     def _handle_reply(self, wc) -> None:
         conn = self.conn
+        if conn.errored:
+            return  # its op already failed; the ERR QP takes no RECV
         conn.recv_completed += 1
         self.stats.recv_completed += 1
         if wc.wr_id != conn.expect_recv_seq:
@@ -973,6 +1001,14 @@ class KvClient(BusyPoller):
     def _retire(self, op: _KvOp) -> None:
         self._ops.pop(op.op_id, None)
         self._free_slots.append(op.slot)
+        self.stats.ops_completed += 1
+
+    def _fail(self, op: _KvOp) -> None:
+        """An op whose QP went to ERR: it ends, unanswered and unrecorded
+        (a PUT may or may not have been applied)."""
+        self._ops.pop(op.op_id, None)
+        self._free_slots.append(op.slot)
+        self.stats.ops_failed += 1
 
     # -- synchronous sweeps ---------------------------------------------------
 

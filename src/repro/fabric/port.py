@@ -15,7 +15,7 @@ from typing import Callable, Deque
 from repro.sim import Event, Simulator
 
 #: ``done`` slot of a queued item whose callback is dispatched as its own
-#: schedule entry at wire-done (:meth:`Port.transmit_deferred`).
+#: entry at wire-done, handed off in place (:meth:`Port.transmit_deferred`).
 _DEFERRED = object()
 
 
@@ -82,9 +82,11 @@ class Port:
 
     def transmit_deferred(self, size_bytes: int, on_wire_done: Callable, *cb_args) -> None:
         """Enqueue a transmission; ``on_wire_done(*cb_args)`` is dispatched
-        as its own schedule entry at the wire-done instant: exactly the
-        slot a wire-done event's ``succeed()`` would take (same instant,
-        same position among same-instant entries), minus the event."""
+        as its own entry at the wire-done instant: exactly the slot a
+        wire-done event's ``succeed()`` would take (same instant, same
+        position among same-instant entries), minus the event.  The finish
+        event hands it off (``Simulator.hand_off``), so it runs in place
+        unless something else is due first."""
         self._enqueue((size_bytes, on_wire_done, cb_args, _DEFERRED))
 
     def _enqueue(self, item: tuple) -> None:
@@ -111,8 +113,17 @@ class Port:
         self._bytes_sent += size_bytes
         self._busy_until = sim.now
         if done is _DEFERRED:
-            sim.schedule(0.0, on_wire_done, *cb_args)
-        elif done is None:
+            # Handed off as this dispatch's last act, in the slot it takes
+            # before the next transmission's finish (DESIGN.md §12.11).
+            seq = None
+            if self._pending:
+                seq = sim.reserve()
+                self._begin(self._pending.popleft())
+            else:
+                self._active = False
+            sim.hand_off(on_wire_done, cb_args, seq)
+            return
+        if done is None:
             on_wire_done(*cb_args)
             sim.credit_events(processed=1)
         else:

@@ -169,6 +169,9 @@ class RNIC:
         self.tx_msgs = 0
         self.rx_msgs = 0
         self._rto_s = 4 * config.link.propagation_delay_s + 500e-6  # RC, no backoff
+        # Armed at wire-done and cancelled by the ACK on nearly every WR:
+        # a fixed-delay queue keeps the cancelled ones out of the heap.
+        self._rto_timers = sim.fixed_delay(self._rto_s)
 
         node.register_handler(RDMA_PROTOCOL, self._on_message)
         node.port.contention_factor = self._tx_contention_factor
@@ -562,7 +565,7 @@ class RNIC:
         if ssn > qp.wire_ssn:
             qp.wire_ssn = ssn
         if qp.rto_entry is None and qp.wire_ssn >= qp.sq_completed:
-            qp.rto_entry = self.sim.schedule(self._rto_s, self._rto_expired, qp)
+            qp.rto_entry = self._rto_timers.schedule(self._rto_expired, qp)
 
     def _rc_request(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> Tuple[int, dict]:
         """Wire size and payload of one RC request (first send or resend)."""
@@ -663,8 +666,8 @@ class RNIC:
             self._rx_backlog += 1
             if self._rx_idle:
                 self._rx_idle = False
-                self.sim.schedule(0.0, self._rx_execute, message.src, message.size_bytes,
-                                  payload)
+                self.sim.hand_off(self._rx_execute,
+                                  (message.src, message.size_bytes, payload))
             else:
                 self._rx_items.append((message.src, message.size_bytes, payload))
             return
@@ -682,7 +685,7 @@ class RNIC:
     def _rx_next(self) -> None:
         """Serve the next queued request in its own entry, or go idle."""
         if self._rx_items:
-            self.sim.schedule(0.0, self._rx_execute, *self._rx_items.popleft())
+            self.sim.hand_off(self._rx_execute, self._rx_items.popleft())
         else:
             self._rx_idle = True
 
@@ -985,7 +988,7 @@ class RNIC:
         # is unacked (a WR queued at the port is already in sq_inflight).
         self._reset_rto(qp)
         if qp.wire_ssn >= next_ssn:
-            qp.rto_entry = self.sim.schedule(self._rto_s, self._rto_expired, qp)
+            qp.rto_entry = self._rto_timers.schedule(self._rto_expired, qp)
 
     def _release_rd_slot(self, qp: QP) -> None:
         """A READ/ATOMIC completed: free its initiator-depth slot."""

@@ -21,6 +21,9 @@ The pending-event schedule is one binary heap (``heapq``) of mutable
 scheduled for the same instant fire in schedule order.  Cancellation is
 lazy: :meth:`Simulator.cancel` nulls the callback slot and the dispatch
 loops drop the tombstone when it reaches the head (DESIGN.md §12.1).
+Two entry forms keep that order without a heap entry each (DESIGN.md
+§12.11): a tail :meth:`Simulator.hand_off` and a
+:class:`FixedDelayQueue` entry.
 
 Fast paths
 ----------
@@ -32,6 +35,14 @@ wall-clock optimisations that do not change simulated-time semantics:
   :meth:`Timeout.cancel` deschedules a pending timeout the same way.
   This is what lets the RNIC retire retransmission timers on ACK instead
   of letting a stale timer fire per transmitted WR.
+- Timers that all take one fixed delay (the RC RTO) are scheduled on a
+  :class:`FixedDelayQueue` (:meth:`Simulator.fixed_delay`): a FIFO whose
+  oldest entry is stood for in the heap by one proxy, so a timer that
+  the ACK cancels never becomes a heap tombstone.
+- A zero-delay entry scheduled as the last act of a dispatch goes through
+  :meth:`Simulator.hand_off`, which runs it in place when it would be the
+  next entry dispatched anyway (the port's wire-done callbacks, the RNIC
+  rx pipeline's hops); chains of hand-offs loop rather than recurse.
 - ``Timeout`` objects are pooled on a per-simulator free list.  A timeout
   whose only consumer was a process ``yield`` (the overwhelmingly common
   case) is recycled as soon as its callback has run; timeouts that are
@@ -59,9 +70,10 @@ wall-clock optimisations that do not change simulated-time semantics:
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from types import MethodType
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional
 
 #: Upper bound on the per-simulator Timeout free list (plenty for the
 #: steady-state working set; prevents pathological growth after bursts).
@@ -379,6 +391,70 @@ class AnyOf(_Condition):
         self.succeed((event, event._value))
 
 
+class FixedDelayQueue:
+    """Entries that all fire one fixed ``delay`` after they are scheduled.
+
+    Keys ``(now + delay, seq)`` are scheduled in increasing order because
+    ``now`` never decreases, so a FIFO holds them sorted and the heap needs
+    only a *proxy* for the oldest one: a tombstone-shaped
+    ``[time, seq, None, queue]`` entry with the head's exact key.  The
+    dispatch loops' tombstone branch hands a popped proxy to :meth:`_due`,
+    which drops cancelled heads, pushes the head itself when the proxy was
+    its own (it is then the heap's minimum and dispatches next, exactly
+    where a plain :meth:`Simulator.schedule` entry would have), and proxies
+    the next one.  Entries are ordinary schedule entries:
+    :meth:`Simulator.cancel` retires them and counts ``events_cancelled``
+    as ever, but a cancelled timer no longer sits in the heap as a
+    tombstone until its deadline (DESIGN.md §12.11).
+    """
+
+    __slots__ = ("sim", "delay", "_entries", "_proxy")
+
+    def __init__(self, sim: "Simulator", delay: float):
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self.sim = sim
+        self.delay = delay
+        self._entries: Deque[list] = deque()
+        #: the queue's proxy entry while it is in the heap, else ``None``
+        self._proxy: Optional[list] = None
+
+    def schedule(self, callback: Callable[..., None], *args: Any) -> list:
+        """Run ``callback(*args)`` ``delay`` seconds from now.
+
+        Same key, same handle and same cancellation as
+        ``Simulator.schedule(delay, callback, *args)``.
+        """
+        sim = self.sim
+        sim._sequence = seq = sim._sequence + 1
+        entry = [sim.now + self.delay, seq, callback, args]
+        entries = self._entries
+        while entries and entries[0][2] is None:
+            entries.popleft()
+        entries.append(entry)
+        if self._proxy is None:
+            self._proxy = proxy = [entry[0], seq, None, self]
+            heappush(sim._heap, proxy)
+        return entry
+
+    def _due(self, proxy: list) -> None:
+        """The heap popped this queue's proxy (the tombstone branch)."""
+        entries = self._entries
+        while entries and entries[0][2] is None:
+            entries.popleft()
+        if entries and entries[0][1] == proxy[1]:
+            heappush(self.sim._heap, entries.popleft())
+            while entries and entries[0][2] is None:
+                entries.popleft()
+        if not entries:
+            self._proxy = None
+            return
+        head = entries[0]
+        proxy[0] = head[0]
+        proxy[1] = head[1]
+        heappush(self.sim._heap, proxy)
+
+
 class Simulator:
     """The event loop: owns simulated time and the pending-event schedule."""
 
@@ -405,8 +481,14 @@ class Simulator:
         self.tracer = None
         #: the pending-event schedule: a heapq of
         #: ``[time, seq, callback, args]`` entries (callback ``None`` once
-        #: cancelled or dispatched).
+        #: cancelled or dispatched; ``args`` is a :class:`FixedDelayQueue`
+        #: in that queue's proxy).
         self._heap: List[list] = []
+        #: one :class:`FixedDelayQueue` per delay (:meth:`fixed_delay`)
+        self._fixed_delay: Dict[float, FixedDelayQueue] = {}
+        #: while :meth:`hand_off` dispatches in place, the hand-offs made
+        #: meanwhile, as ``(seq, callback, args)``; ``None`` otherwise.
+        self._hops: Optional[List[tuple]] = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -451,6 +533,77 @@ class Simulator:
         entry = [time, seq, callback, args]
         heappush(self._heap, entry)
         return entry
+
+    def fixed_delay(self, delay: float) -> FixedDelayQueue:
+        """The simulator's queue of entries that fire ``delay`` after they
+        are scheduled (one per distinct delay; DESIGN.md §12.11)."""
+        queue = self._fixed_delay.get(delay)
+        if queue is None:
+            queue = self._fixed_delay[delay] = FixedDelayQueue(self, delay)
+        return queue
+
+    def reserve(self) -> int:
+        """Take the next ``seq``: the slot of an entry scheduled now, for a
+        :meth:`hand_off` made later in the same dispatch."""
+        self._sequence = seq = self._sequence + 1
+        return seq
+
+    def hand_off(self, callback: Callable[..., None], args: tuple = (),
+                 seq: Optional[int] = None) -> None:
+        """``schedule(0.0, callback, *args)`` without the heap round-trip
+        when the entry would be dispatched next anyway.
+
+        Must be the last act of a dispatched callback.  The entry takes
+        ``seq`` (reserved earlier with :meth:`reserve`) or the next one.
+        If no live entry precedes ``(now, seq)``, ``callback(*args)`` runs
+        at once as a counted dispatch (``events_processed``, tracer tick;
+        not a credit); otherwise the entry is pushed with that ``seq``.
+        A hand-off made while one runs in place waits until it returns and
+        is then decided the same way: a chain of hand-offs loops, it does
+        not nest (DESIGN.md §12.11).
+        """
+        if seq is None:
+            self._sequence = seq = self._sequence + 1
+        hops = self._hops
+        if hops is not None:
+            hops.append((seq, callback, args))
+            return
+        heap = self._heap
+        self._hops = hops = []
+        try:
+            while True:
+                # The heap's head precedes (now, seq) only if it is due now
+                # and older; a tombstone there may hide a live entry.
+                if heap and heap[0][0] <= self.now and heap[0][1] < seq and (
+                        heap[0][2] is not None or self._live_before(seq)):
+                    heappush(heap, [self.now, seq, callback, args])
+                else:
+                    self.events_processed += 1
+                    tracer = self.tracer
+                    if tracer is not None and tracer.enabled:
+                        tracer._kernel_tick(self, callback)
+                    callback(*args)
+                if not hops:
+                    return
+                seq, callback, args = hops.pop(0)
+        finally:
+            self._hops = None
+
+    def _live_before(self, seq: int) -> bool:
+        """Whether a live entry precedes ``(now, seq)``.  Tombstones that
+        precede it are dropped, as the dispatch loops would drop them."""
+        heap = self._heap
+        now = self.now
+        while heap:
+            head = heap[0]
+            if head[0] > now or head[1] > seq:
+                return False
+            if head[2] is not None:
+                return True
+            heappop(heap)
+            if head[3]:
+                head[3]._due(head)
+        return False
 
     def credit_events(self, processed: int) -> None:
         """Account for events elided without dispatching.
@@ -515,6 +668,8 @@ class Simulator:
                 entry = heappop(heap)
                 callback = entry[2]
                 if callback is None:
+                    if entry[3]:
+                        entry[3]._due(entry)
                     continue
                 entry[2] = None
                 self.now = entry[0]
@@ -530,6 +685,8 @@ class Simulator:
             entry = heappop(heap)
             callback = entry[2]
             if callback is None:
+                if entry[3]:
+                    entry[3]._due(entry)
                 continue
             entry[2] = None
             self.now = entry[0]
@@ -555,8 +712,11 @@ class Simulator:
             callback = entry[2]
             if callback is None:
                 # Drop a cancelled head before the limit test: a tombstone
-                # beyond ``limit`` is not pending work.
+                # beyond ``limit`` is not pending work (a proxy hands its
+                # live head back to the heap, where the test applies).
                 heappop(heap)
+                if entry[3]:
+                    entry[3]._due(entry)
                 continue
             if entry[0] > limit:
                 raise SimulationError(f"time limit {limit} exceeded waiting for {process!r}")

@@ -117,6 +117,26 @@ class TestPortCompletionForms:
         assert (event_credited, cb_credited, deferred_credited) == (0, len(script), 0)
 
 
+class TestDeferredHandOff:
+    def test_keeps_its_slot_before_a_same_instant_successor(self):
+        """A deferred completion whose port starts a zero-length
+        transmission at the same instant: the hand-off keeps the slot it
+        had before that transmission's finish, as the event form does."""
+        def run(form):
+            sim = Simulator()
+            port = Port(sim, rate_bps=8e9)
+            log = []
+            if form == "event":
+                port.transmit(1000).add_callback(lambda _event: log.append("first"))
+            else:
+                port.transmit_deferred(1000, log.append, "first")
+            port.transmit_cb(0, log.append, "second")
+            sim.run()
+            return log, sim.events_processed
+
+        assert run("deferred") == run("event") == (["first", "second"], 4)
+
+
 class TestNetwork:
     def test_delivery_includes_propagation(self, sim, net):
         received = []
