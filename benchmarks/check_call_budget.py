@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate the call budgets (DESIGN.md §12.4, §12.5) in CI.
+"""Gate the call budgets (DESIGN.md §12.4, §12.5, §12.12) in CI.
 
     python3 benchmarks/perf/run.py --workload fleet_drain --seed 7 \\
         --seconds 3 --trace 1 | python3 benchmarks/check_call_budget.py
@@ -23,14 +23,14 @@ import re
 import sys
 
 #: workload -> (sim.events_processed, min sim.events_credited, *.calls budget)
-#: Budgets are the measured counts with tail hand-offs and the fixed-delay
-#: RTO queue (DESIGN.md §12.11) rounded up to 10 000.
+#: Budgets are the measured counts with the one-hop RC message path
+#: (DESIGN.md §12.12) rounded up to 10 000.
 BUDGETS = {
-    "migrate_ref": (98_955, 358, 1_980_000),
-    "migrate_fanout": (783_513, 6_753, 15_550_000),
+    "migrate_ref": (98_955, 358, 1_480_000),
+    "migrate_fanout": (783_513, 6_753, 11_940_000),
     # per-QP RTO: duplicate go-back-N resends gone (was 154_323, 23_000)
-    "fleet_drain": (152_214, 22_950, 2_120_000),
-    "kv_noisy": (369_787, 110_000, 6_520_000),
+    "fleet_drain": (152_214, 22_950, 1_730_000),
+    "kv_noisy": (369_787, 110_000, 5_470_000),
 }
 SEED = 7
 HEADROOM = 0.05

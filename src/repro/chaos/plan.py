@@ -180,7 +180,7 @@ class UplinkDegrade:
     """While active, the ToR uplink trunk of ``rack`` serializes
     ``factor``× slower — a congested/flapping spine link.  Requires a
     :class:`~repro.fabric.FatTreeTopology` attached to the network; the
-    fault is a windowed ``contention_factor`` on the trunk's ``Port``.
+    fault is a stretch window (``Port.stretch``) on the trunk's ``Port``.
     """
 
     rack: str
@@ -366,29 +366,6 @@ class _RnicChaos:
         return target - now
 
 
-class _UplinkChaos:
-    """The windowed ``contention_factor`` installed on a degraded trunk
-    ``Port``: outside every window it returns 1.0 (no slowdown), inside
-    it returns the max factor of the overlapping windows."""
-
-    __slots__ = ("plan", "sim", "degrades")
-
-    def __init__(self, plan: "FaultPlan", sim, degrades: List[UplinkDegrade]):
-        self.plan = plan
-        self.sim = sim
-        self.degrades = degrades
-
-    def __call__(self) -> float:
-        now = self.sim.now
-        factor = 1.0
-        for degrade in self.degrades:
-            if degrade.start_s <= now < degrade.end_s:
-                factor = max(factor, degrade.factor)
-        if factor > 1.0:
-            self.plan.stats.uplink_slowdowns += 1
-        return factor
-
-
 class FaultPlan:
     """A seeded, installable, resettable set of faults."""
 
@@ -545,10 +522,12 @@ class FaultPlan:
                 by_rack.setdefault(degrade.rack, []).append(degrade)
             for rack, degrades in by_rack.items():
                 port = topology.uplink(rack)
-                if port.contention_factor is not None:
+                if port.stretches:
                     raise RuntimeError(
                         f"uplink {rack} already has a contention hook")
-                port.contention_factor = _UplinkChaos(self, sim, degrades)
+                for degrade in degrades:
+                    port.stretch(degrade.start_s, degrade.end_s, degrade.factor,
+                                 self._note_uplink_slowdown)
                 self._degraded_ports.append(port)
         self._installed_tb = tb
         return self
@@ -567,11 +546,14 @@ class FaultPlan:
             if isinstance(chaos, _RnicChaos) and chaos.plan is self:
                 server.rnic.chaos = None
         for port in self._degraded_ports:
-            if isinstance(port.contention_factor, _UplinkChaos) \
-                    and port.contention_factor.plan is self:
-                port.contention_factor = None
+            port.unstretch(self._note_uplink_slowdown)
         self._degraded_ports.clear()
         self._installed_tb = None
+
+    def _note_uplink_slowdown(self) -> None:
+        """Tally of the degraded trunks' stretch windows: one per
+        transmission a degrade slowed."""
+        self.stats.uplink_slowdowns += 1
 
     def arm(self, migration) -> "FaultPlan":
         """Attach to one :class:`~repro.core.orchestrator.LiveMigration`."""

@@ -23,6 +23,7 @@ of the same code path that does the work.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster import AppProcess, Container
@@ -40,6 +41,17 @@ from repro.rnic import (
 )
 from repro.rnic.wr import SGE, clone_recv_wr, clone_send_wr
 from repro.verbs.api import _OP_LABEL, VerbsAPI, capture_inline
+
+_lkey_of = attrgetter("lkey")
+
+
+def _with_qpn(wc: WorkCompletion, vqpn: int) -> WorkCompletion:
+    """The CQE as the application sees it: carrying its virtual QPN."""
+    if vqpn == wc.qp_num:
+        return wc  # identity translation: the CQE goes up as-is
+    return WorkCompletion(
+        wr_id=wc.wr_id, status=wc.status, opcode=wc.opcode,
+        qp_num=vqpn, byte_len=wc.byte_len, imm_data=wc.imm_data)
 
 
 class VirtPD:
@@ -350,20 +362,21 @@ class MigrRdmaGuestLib(VerbsAPI):
     def post_send(self, qp: VirtQP, wr: SendWR) -> None:
         cpu = self.process.cpu
         cfg = cpu.config
-        cpu.charge_base(_OP_LABEL[wr.opcode])
+        label = _OP_LABEL[wr.opcode._value_]
+        cpu.charge_base(label)
         cpu.charge("virt", cfg.suspension_flag_check_cycles)
         tracer = self.sim.tracer
         if tracer is not None:
             # The guest lib *is* the process's verbs surface: application
             # posts land on the same lane DirectVerbs uses.
-            tracer.instant(tracer.lane(self.node_name, "verbs"),
-                           f"post:{_OP_LABEL[wr.opcode]}",
+            tracer.instant(tracer.lane(self.node_name, "verbs"), f"post:{label}",
                            {"vqpn": qp.vqpn, "bytes": wr.total_length})
         if wr.inline and wr.inline_data is None:
             # Capture before any buffering: the inline copy happens at post
             # time even when the WR is intercepted during suspension.
             capture_inline(self.process, qp, wr)
-        if qp.suspended:
+        suspended = self.state.suspended  # VirtQP.suspended, read inline
+        if qp.vqpn in suspended and suspended[qp.vqpn]:
             # Intercept: pretend the WR was posted (§3.4).
             cpu.charge("virt", cfg.wr_intercept_buffer_cycles)
             qp.intercepted_sends.append(clone_send_wr(wr))
@@ -388,15 +401,15 @@ class MigrRdmaGuestLib(VerbsAPI):
             self._register_pending_bind(qp, wr)
         # Preserve order behind any backlog, and absorb bursts (WR replay
         # after restore) that exceed the physical send queue's depth.
-        phys = qp._phys
-        if qp.backlog or phys.sq_space() <= 0:
+        phys = self.state.resources[qp.rid]  # qp._phys, read inline
+        if qp.backlog or phys.sq_posted - phys.sq_completed >= phys.max_send_wr:
             qp.backlog.append(wr)
             return
         self.layer.rnic.post_send(phys, wr)
 
     def _drain_backlog(self, qp: VirtQP) -> None:
         phys = qp._phys
-        while qp.backlog and phys.sq_space() > 0:
+        while qp.backlog and phys.sq_posted - phys.sq_completed < phys.max_send_wr:
             self.layer.rnic.post_send(phys, qp.backlog.pop(0))
 
     def _translate_send(self, qp: VirtQP, wr: SendWR) -> Optional[SendWR]:
@@ -416,7 +429,7 @@ class MigrRdmaGuestLib(VerbsAPI):
         opcode = wr.opcode
         pkeys = vkeys = None
         if wr.inline_data is None and wr.sges:
-            vkeys = tuple(sge.lkey for sge in wr.sges)
+            vkeys = tuple(map(_lkey_of, wr.sges))
             cached = qp.xlate_cache
             if cached is not None and cached[0] == self._xlate_epoch and cached[1] == vkeys:
                 pkeys = cached[2]
@@ -585,12 +598,12 @@ class MigrRdmaGuestLib(VerbsAPI):
         # Fake CQ first (§3.4): entries drained during wait-before-stop.
         while cq.fake and room > 0:
             wc = cq.fake.popleft()
-            out.append(self._translate_wc(wc, from_fake=True))
+            out.append(self._translate_fake_wc(wc))
             cpu.charge("virt", cfg.qpn_array_lookup_cycles)
             room -= 1
         if room > 0:
-            for wc in self.poll_real(cq, room):
-                out.append(self._translate_wc(wc, from_fake=False))
+            for wc in self.poll_real(cq, room, translate=True):
+                out.append(wc)
                 cpu.charge("virt", cfg.qpn_array_lookup_cycles)
         if out:
             tracer = self.sim.tracer
@@ -599,29 +612,41 @@ class MigrRdmaGuestLib(VerbsAPI):
                                "poll", {"n": len(out)})
         return out
 
-    def poll_real(self, cq: VirtCQ, max_entries: int) -> List[WorkCompletion]:
+    def poll_real(self, cq: VirtCQ, max_entries: int,
+                  translate: bool = False) -> List[WorkCompletion]:
         """Poll the physical CQ, maintaining recv/bind tracking.
 
-        Used by both the application poll path and the WBS thread, so the
-        bookkeeping happens exactly once per CQE regardless of who drains.
+        Used by both the application poll path (``translate``: the CQEs
+        come back carrying virtual QPNs) and the WBS thread (physical
+        CQEs, for the fake CQ), so the bookkeeping happens exactly once
+        per CQE regardless of who drains.  Each CQE's QPN is translated
+        once, for both.
         """
-        wcs = cq._phys.poll(max_entries)
-        for wc in wcs:
-            if wc.opcode is Opcode.RECV:
-                self._note_recv_consumed(wc)
-            elif wc.opcode is Opcode.BIND_MW:
-                self._finalize_bind(wc)
-            # CQEs from real CQs retire temp-table entries (§3.4): there
-            # will be no more completions for the old QP.
-            self.temp_qpn_map.pop(wc.qp_num, None)
-            if wc.opcode is not Opcode.RECV:
-                vqp = self.virt_qps.get(self.layer.qpn_table.lookup_or_identity(wc.qp_num))
-                if vqp is not None and vqp.backlog and not vqp.suspended:
+        wcs = self.state.resources[cq.rid].poll(max_entries)
+        lookup = self.layer.qpn_table.lookup_or_identity
+        temp_qpn_map = self.temp_qpn_map
+        virt_qps = self.virt_qps
+        for i, wc in enumerate(wcs):
+            qp_num = wc.qp_num
+            vqpn = lookup(qp_num)
+            opcode = wc.opcode
+            if opcode is Opcode.RECV:
+                self._note_recv_consumed(vqpn)
+            elif opcode is Opcode.BIND_MW:
+                self._finalize_bind(wc, vqpn)
+            if temp_qpn_map:
+                # CQEs from real CQs retire temp-table entries (§3.4):
+                # there will be no more completions for the old QP.
+                temp_qpn_map.pop(qp_num, None)
+            if opcode is not Opcode.RECV and vqpn in virt_qps:
+                vqp = virt_qps[vqpn]
+                if vqp.backlog and not vqp.suspended:
                     self._drain_backlog(vqp)
+            if translate:
+                wcs[i] = _with_qpn(wc, vqpn)
         return wcs
 
-    def _note_recv_consumed(self, wc: WorkCompletion) -> None:
-        vqpn = self.layer.qpn_table.lookup_or_identity(wc.qp_num)
+    def _note_recv_consumed(self, vqpn: int) -> None:
         vqp = self.virt_qps.get(vqpn)
         if vqp is None:
             return
@@ -631,8 +656,7 @@ class MigrRdmaGuestLib(VerbsAPI):
         elif vqp.posted_recvs:
             vqp.posted_recvs.pop(0)
 
-    def _finalize_bind(self, wc: WorkCompletion) -> None:
-        vqpn = self.layer.qpn_table.lookup_or_identity(wc.qp_num)
+    def _finalize_bind(self, wc: WorkCompletion, vqpn: int) -> None:
         physical_wr = self._pending_binds.pop((vqpn, wc.wr_id), None)
         if physical_wr is None or not wc.ok:
             return
@@ -646,16 +670,11 @@ class MigrRdmaGuestLib(VerbsAPI):
                 self.state, mw_rid, mr_rid, mw.addr, mw.length,
                 physical_wr.bind_access, mw.rkey)
 
-    def _translate_wc(self, wc: WorkCompletion, from_fake: bool) -> WorkCompletion:
-        if from_fake and wc.qp_num in self.temp_qpn_map:
-            vqpn = self.temp_qpn_map[wc.qp_num]
-        else:
-            vqpn = self.layer.qpn_table.lookup_or_identity(wc.qp_num)
-        if vqpn == wc.qp_num:
-            return wc  # identity translation: the CQE goes up as-is
-        return WorkCompletion(
-            wr_id=wc.wr_id, status=wc.status, opcode=wc.opcode,
-            qp_num=vqpn, byte_len=wc.byte_len, imm_data=wc.imm_data)
+    def _translate_fake_wc(self, wc: WorkCompletion) -> WorkCompletion:
+        """A CQE the WBS thread stashed: its QPN may be a pre-restore one."""
+        if wc.qp_num in self.temp_qpn_map:
+            return _with_qpn(wc, self.temp_qpn_map[wc.qp_num])
+        return _with_qpn(wc, self.layer.qpn_table.lookup_or_identity(wc.qp_num))
 
     # -- events ------------------------------------------------------------
 

@@ -20,6 +20,9 @@ from repro.sim import Simulator
 
 Handler = Callable[[Message], None]
 
+#: the extra delays of an unfaulted message: one delivery, on time
+_UNFAULTED = (0.0,)
+
 
 class Node:
     """A server attached to the fabric: one egress port, protocol handlers."""
@@ -51,12 +54,13 @@ class Node:
         del self._handlers[protocol]
 
     def deliver(self, message: Message) -> None:
-        handler = self._handlers.get(message.protocol)
-        if handler is None:
+        try:
+            handler = self._handlers[message.protocol]
+        except KeyError:
             raise LookupError(
                 f"{self.name}: no handler for protocol {message.protocol!r} "
                 f"(message {message!r})"
-            )
+            ) from None
         handler(message)
 
     def send(self, message: Message) -> None:
@@ -105,32 +109,35 @@ class Network:
         self.fault_injector = None
 
     def transmit(self, message: Message) -> None:
+        """Queue ``message`` on its source node's port; at wire-done it
+        takes the switch step, :meth:`transmit_raw`.  Both ends are
+        validated now, at send."""
         src = self.node(message.src)
         self.node(message.dst)  # validate early
-        self.messages_sent += 1
-        src.port.transmit_cb(message.size_bytes, self._propagate, message)
+        src.port.transmit_cb(message.size_bytes, self.transmit_raw, message.src,
+                             message.dst, message.size_bytes, message.protocol,
+                             message.payload)
 
     def transmit_raw(self, src: str, dst: str, size_bytes: int, protocol: str, payload) -> None:
-        """Inject a message whose serialization was already metered.
+        """The switch: carry a message whose serialization is over to its
+        destination node.
 
-        Protocol engines (the RNIC) that explicitly wait on their port use
-        this to hand the fully-serialized message to the switch without
-        paying serialization twice.
+        The one propagation step of every message: the RNIC calls it from
+        its wire-done callbacks, :meth:`transmit` from its port
+        completion.  It counts the message, lets an installed fault
+        injector drop, duplicate or delay it, and delivers it one
+        propagation delay later (:meth:`Node.deliver`), or along the
+        attached topology's path.
         """
         nodes = self.nodes
-        if src not in nodes or dst not in nodes:
+        if src in nodes and dst in nodes:
+            node = nodes[dst]
+        else:
             self.node(src)  # raises LookupError naming the unknown one
             self.node(dst)
         self.messages_sent += 1
-        self._propagate(Message(src, dst, protocol, size_bytes, payload))
-
-    def _propagate(self, message: Message) -> None:
-        # The one per-message resolution of the destination; the topology
-        # and the delivery event carry the node forward.
-        try:
-            dst = self.nodes[message.dst]
-        except KeyError:
-            dst = self.node(message.dst)  # raises LookupError
+        message = Message(src, dst, protocol, size_bytes, payload)
+        delays = _UNFAULTED
         injector = self.fault_injector
         if injector is not None:
             verdict = injector.intercept(message, self.sim.now)
@@ -141,15 +148,12 @@ class Network:
                 if not verdict:
                     self.messages_dropped += 1
                     return
-                if self.topology is not None:
-                    for extra in verdict:
-                        self.topology.route(message, dst, extra)
-                    return
-                base = self.config.link.propagation_delay_s
-                for extra in verdict:
-                    self.sim.schedule(base + extra, dst.deliver, message)
-                return
-        if self.topology is not None:
-            self.topology.route(message, dst)
-            return
-        self.sim.schedule(self.config.link.propagation_delay_s, dst.deliver, message)
+                delays = verdict
+        topology = self.topology
+        if topology is None:
+            base = self.config.link.propagation_delay_s
+            for extra in delays:
+                self.sim.schedule(base + extra, node.deliver, message)
+        else:
+            for extra in delays:
+                topology.route(message, node, extra)

@@ -10,7 +10,7 @@ hold in Figure 4.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.sim import Event, Simulator
 
@@ -26,6 +26,14 @@ class Port:
     transmission costs one scheduled finish event instead of a queue
     round-trip plus a timeout, which matters because every byte any model
     component sends funnels through here.
+
+    *Stretch windows* model egress contention as port state: a
+    transmission whose serialization begins at ``t`` with
+    ``start_s <= t < end_s`` for some window takes ``factor`` x its wire
+    time (the largest factor when windows overlap).  The RNIC opens one
+    per firmware command (Figure 5 brownout dips), the chaos uplink
+    degrade one per degraded interval of a trunk.  The admission step
+    pays one float comparison for them outside every window.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, name: str = ""):
@@ -37,11 +45,10 @@ class Port:
         self._pending: Deque[tuple] = deque()
         self._active = False
         self._bytes_sent = 0
-        self._busy_until = 0.0
-        #: Optional callable returning a serialization slowdown factor
-        #: (>= 1.0); used to model NIC-internal contention during
-        #: control-path bursts (Figure 5 brownout dips).
-        self.contention_factor = None
+        #: ``(start_s, end_s, factor, tally)`` stretch windows, and the
+        #: latest ``end_s`` among them
+        self._stretches: List[tuple] = []
+        self._stretch_until = -1.0
 
     @property
     def bytes_sent(self) -> int:
@@ -61,15 +68,60 @@ class Port:
         """
         return sum(item[0] for item in self._pending)
 
+    @property
+    def stretches(self) -> Tuple[tuple, ...]:
+        """The stretch windows that may still apply."""
+        return tuple(self._stretches)
+
     def serialization_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.rate_bps
+
+    # -- contention ------------------------------------------------------
+
+    def stretch(self, start_s: float, end_s: float, factor: float,
+                tally: Optional[Callable[[], None]] = None) -> None:
+        """Open a stretch window ``[start_s, end_s)`` of ``factor``;
+        ``tally()`` runs once per transmission it stretches.  Windows that
+        have closed are dropped, and one that overlaps the last window
+        with the same factor and tally extends it (a burst of firmware
+        commands is one window)."""
+        now = self.sim.now
+        windows = [w for w in self._stretches if w[1] > now]
+        window = (start_s, end_s, factor, tally)
+        if windows:
+            last_start, last_end, last_factor, last_tally = windows[-1]
+            if (last_factor == factor and last_tally == tally
+                    and last_start <= start_s <= last_end):
+                window = (last_start, max(last_end, end_s), factor, tally)
+                windows.pop()
+        windows.append(window)
+        self._stretches = windows
+        self._stretch_until = max(self._stretch_until, end_s)
+
+    def unstretch(self, tally: Callable[[], None]) -> None:
+        """Close every window opened with ``tally``."""
+        self._stretches = [w for w in self._stretches if w[3] != tally]
+        self._stretch_until = max((w[1] for w in self._stretches), default=-1.0)
+
+    def _stretch_factor(self, now: float) -> float:
+        factor = 1.0
+        tally = None
+        for start_s, end_s, window_factor, window_tally in self._stretches:
+            if start_s <= now < end_s and window_factor > factor:
+                factor = window_factor
+                tally = window_tally
+        if tally is not None:
+            tally()
+        return factor
+
+    # -- transmission ----------------------------------------------------
 
     def transmit(self, size_bytes: int) -> Event:
         """Enqueue a transmission; the returned event fires at wire-done.
         For callers that wait on it; a caller that only needs a callback
         uses :meth:`transmit_cb` or :meth:`transmit_deferred` (no event)."""
         done = self.sim.event()
-        self._enqueue((size_bytes, None, (), done))
+        self._admit((size_bytes, None, (), done))
         return done
 
     def transmit_cb(self, size_bytes: int, on_wire_done: Callable, *cb_args) -> None:
@@ -78,7 +130,7 @@ class Port:
         event would have added has no listener, so it is credited
         (``Simulator.credit_events``) instead of being pushed, popped and
         run: same instants, same order, same ``events_processed``."""
-        self._enqueue((size_bytes, on_wire_done, cb_args, None))
+        self._admit((size_bytes, on_wire_done, cb_args, None))
 
     def transmit_deferred(self, size_bytes: int, on_wire_done: Callable, *cb_args) -> None:
         """Enqueue a transmission; ``on_wire_done(*cb_args)`` is dispatched
@@ -87,40 +139,36 @@ class Port:
         position among same-instant entries), minus the event.  The finish
         event hands it off (``Simulator.hand_off``), so it runs in place
         unless something else is due first."""
-        self._enqueue((size_bytes, on_wire_done, cb_args, _DEFERRED))
+        self._admit((size_bytes, on_wire_done, cb_args, _DEFERRED))
 
-    def _enqueue(self, item: tuple) -> None:
+    def _admit(self, item: tuple) -> None:
+        """The one admission step: queue behind the transmission on the
+        wire, or begin serializing now (stretched inside a window)."""
         if self._active:
             self._pending.append(item)
-        else:
-            self._active = True
-            self._begin(item)
-
-    def _begin(self, item: tuple) -> None:
+            return
+        self._active = True
         size_bytes = item[0]
         delay = 0.0
         if size_bytes > 0:
             delay = size_bytes * 8.0 / self.rate_bps
-            if self.contention_factor is not None:
-                factor = self.contention_factor()
-                if factor > 1.0:
-                    delay *= factor
+            now = self.sim.now
+            if now < self._stretch_until:
+                delay *= self._stretch_factor(now)
         self.sim.schedule(delay, self._finish, item)
 
     def _finish(self, item: tuple) -> None:
         size_bytes, on_wire_done, cb_args, done = item
         sim = self.sim
         self._bytes_sent += size_bytes
-        self._busy_until = sim.now
         if done is _DEFERRED:
             # Handed off as this dispatch's last act, in the slot it takes
             # before the next transmission's finish (DESIGN.md §12.11).
+            self._active = False
             seq = None
             if self._pending:
                 seq = sim.reserve()
-                self._begin(self._pending.popleft())
-            else:
-                self._active = False
+                self._admit(self._pending.popleft())
             sim.hand_off(on_wire_done, cb_args, seq)
             return
         if done is None:
@@ -128,7 +176,6 @@ class Port:
             sim.credit_events(processed=1)
         else:
             done.succeed(sim.now)
+        self._active = False  # only now: a callback's transmission queues
         if self._pending:
-            self._begin(self._pending.popleft())
-        else:
-            self._active = False
+            self._admit(self._pending.popleft())

@@ -27,13 +27,13 @@ the oversubscription lives at the ToR).  Routing is then:
   oversubscribed trunk serializations, all FIFO per trunk.
 
 :meth:`FatTreeTopology.attach` hooks the topology into a ``Network``;
-``Network._propagate`` then routes every message (including raw RNIC
-traffic) through :meth:`route`.
+``Network.transmit_raw`` then routes every message (including the
+port-metered ``Network.transmit`` traffic) through :meth:`route`.
 
 The per-trunk ``Port``s expose byte counters and backlog, which is what
 fleet reporting (``FleetReport`` per-link utilisation) and the chaos
-uplink-degrade fault build on — degrading a ToR uplink is just installing
-a ``contention_factor`` on its ``Port``.
+uplink-degrade fault build on — degrading a ToR uplink is just opening
+stretch windows on its ``Port`` (``Port.stretch``).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class FatTreeTopology:
         return self
 
     # ------------------------------------------------------------------
-    # Routing (called from Network._propagate for every delivery)
+    # Routing (called from Network.transmit_raw for every delivery)
 
     def route(self, message, dst, extra_delay_s: float = 0.0) -> None:
         """Deliver ``message`` to its destination node ``dst`` along its

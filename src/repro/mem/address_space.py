@@ -241,11 +241,11 @@ class AddressSpace:
         vma = self.find(addr)
         if vma is not None and addr + size <= vma.start + vma.store.length:
             # Fast path: the whole range lives in one VMA.
-            vma.store.write(addr - vma.start, data)
+            vma.store.write(addr - vma.start, data, size)
             return
         pos = 0
         for vma, offset, take in self._spans(addr, size, "write"):
-            vma.store.write(offset, data[pos:pos + take])
+            vma.store.write(offset, data[pos:pos + take], take)
             pos += take
 
     # -- migration support -----------------------------------------------------

@@ -163,8 +163,11 @@ class PageStore:
             within = 0
         return b"".join(chunks)
 
-    def write(self, offset: int, data: Payload) -> None:
-        size = len(data)
+    def write(self, offset: int, data: Payload, size: Optional[int] = None) -> None:
+        """Write ``data`` at ``offset``; ``size`` is ``len(data)``, passed
+        by a caller that has it already (the address space)."""
+        if size is None:
+            size = len(data)
         if offset < 0 or offset + size > self.length:
             self._check_range(offset, size)  # raises
         pages = self._pages

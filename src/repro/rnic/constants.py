@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 
+ATOMIC_OPERAND_BYTES = 8
+
 
 class QPType(enum.Enum):
     """Transport service types (the paper covers RC and UD semantics)."""
@@ -22,16 +24,17 @@ class QPState(enum.Enum):
     SQD = "SQD"  # send queue drained
     ERR = "ERR"
 
-    def can_post_send(self) -> bool:
-        # IBA: a WR posted to a QP in Error is accepted and completes
-        # flushed; the app may post before it polls the CQE of the failure.
-        return self is QPState.RTS or self is QPState.ERR
+    # What a state allows (can_post_send, can_post_recv, can_receive) is
+    # precomputed as plain member attributes below, as for Opcode.
 
-    def can_post_recv(self) -> bool:
-        return self in (QPState.INIT, QPState.RTR, QPState.RTS, QPState.SQD)
 
-    def can_receive(self) -> bool:
-        return self in (QPState.RTR, QPState.RTS, QPState.SQD)
+for _state in QPState:
+    # IBA: a WR posted to a QP in Error is accepted and completes flushed;
+    # the app may post before it polls the CQE of the failure.
+    _state.can_post_send = _state in (QPState.RTS, QPState.ERR)
+    _state.can_post_recv = _state in (QPState.INIT, QPState.RTR, QPState.RTS, QPState.SQD)
+    _state.can_receive = _state in (QPState.RTR, QPState.RTS, QPState.SQD)
+del _state
 
 
 #: Legal forward transitions of the QP state machine.
@@ -81,6 +84,11 @@ for _op in Opcode:
     _op.is_atomic = _op in (Opcode.ATOMIC_CMP_AND_SWP, Opcode.ATOMIC_FETCH_AND_ADD)
     #: READ and ATOMIC carry data back to the requester.
     _op.needs_response_payload = _op.is_atomic or _op is Opcode.RDMA_READ
+    #: Payload bytes of the request on the wire when fixed by the opcode
+    #: (a READ request is header-only, an atomic carries its operand);
+    #: None when it carries the WR's data.
+    _op.request_bytes = (0 if _op is Opcode.RDMA_READ
+                         else ATOMIC_OPERAND_BYTES if _op.is_atomic else None)
 del _op
 
 #: Wire value -> member, for re-hydrating the opcode a request carries
@@ -118,6 +126,5 @@ class AccessFlags(enum.Flag):
         )
 
 
-ATOMIC_OPERAND_BYTES = 8
 ACK_BYTES = 46  # RoCEv2 ACK frame
 REQUEST_HEADER_BYTES = 58  # Eth + IP + UDP + BTH (+RETH)

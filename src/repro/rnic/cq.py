@@ -111,8 +111,10 @@ class CQ:
         if self.destroyed:
             raise CQError("polling a destroyed CQ")
         out = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
+        entries = self._entries
+        while entries and max_entries > 0:
+            out.append(entries.popleft())
+            max_entries -= 1
         return out
 
     def req_notify(self) -> None:

@@ -102,6 +102,10 @@ def _engine_stopped() -> None:
     """The stopped engine's own completion: it wakes nobody."""
 
 
+#: ``span`` of a go-back-N resend's wire-done (``RNIC._rc_sent``)
+_RESEND = object()
+
+
 class RNIC:
     """One RDMA NIC attached to a fabric node."""
 
@@ -174,7 +178,6 @@ class RNIC:
         self._rto_timers = sim.fixed_delay(self._rto_s)
 
         node.register_handler(RDMA_PROTOCOL, self._on_message)
-        node.port.contention_factor = self._tx_contention_factor
 
     # ------------------------------------------------------------------
     # Control path (generators: they take simulated firmware-command time)
@@ -251,19 +254,18 @@ class RNIC:
                 return qpn
 
     def _control_cmd(self, duration: float):
-        """Execute one firmware command, marking the NIC control-busy."""
-        self._control_busy_until = max(self._control_busy_until, self.sim.now + duration)
+        """Execute one firmware command, marking the NIC control-busy.
+        Meanwhile egress serialization is stretched (Kong et al.): a stretch
+        window on the node's port."""
+        now = self.sim.now
+        end = now + duration
+        self._control_busy_until = max(self._control_busy_until, end)
+        self.node.port.stretch(now, end, 1.0 + self.config.rnic.control_contention_tx_frac)
         yield self.sim.timeout(duration)
 
     @property
     def control_busy(self) -> bool:
         return self.sim.now < self._control_busy_until
-
-    def _tx_contention_factor(self) -> float:
-        """Egress slowdown while firmware commands execute (Kong et al.)."""
-        if self.sim.now >= self._control_busy_until:
-            return 1.0
-        return 1.0 + self.config.rnic.control_contention_tx_frac
 
     def modify_qp(self, qp: QP, new_state: QPState,
                   remote_node: Optional[str] = None, remote_qpn: Optional[int] = None):
@@ -272,6 +274,8 @@ class RNIC:
         if new_state is QPState.RTR and qp.qp_type is QPType.RC:
             if remote_node is None or remote_qpn is None:
                 raise QPStateError("RC RTR transition requires the remote node and QPN")
+            if (qp.remote_node, qp.remote_qpn) != (remote_node, remote_qpn):
+                self._drop_conn_state(qp)  # re-pointed: the old stream is over
             qp.remote_node = remote_node
             qp.remote_qpn = remote_qpn
         qp.transition(new_state)
@@ -284,6 +288,15 @@ class RNIC:
         if self.qps.pop(qp.qpn, None) is qp:
             self.sim.schedule(0.0, self._engine_stop, qp)
         self._reset_rto(qp)
+        self._drop_conn_state(qp)
+
+    def _drop_conn_state(self, qp: QP) -> None:
+        """Forget the responder state of ``qp``'s connection once the QP is
+        destroyed or re-pointed at another requester.  No ssn stream
+        outlives its connection: a migrated requester goes with its source
+        QP, and QPNs are not reused (DESIGN.md §12.6)."""
+        if qp.qp_type is QPType.RC:
+            self._conn_state.pop((qp.remote_node, qp.remote_qpn), None)
 
     def alloc_mw(self, pd: PD):
         yield self.sim.timeout(self.config.rnic.alloc_mw_s)
@@ -364,7 +377,8 @@ class RNIC:
             cfg.doorbell_s + cfg.per_wqe_processing_s, self._engine_wqe, qp, wr, span)
 
     def _engine_wqe(self, qp: QP, wr: SendWR, span) -> None:
-        """The WQE is fetched and processed: execute it."""
+        """The WQE is fetched and processed: execute it.  A WR that goes
+        on the wire is gathered and issued; a later entry carries it on."""
         qp.engine_entry = None
         if qp.state is not QPState.RTS:
             self._complete_send(qp, wr, qp.next_ssn(), WCStatus.WR_FLUSH_ERR, force=True)
@@ -374,10 +388,37 @@ class RNIC:
             self._execute_bind_mw(qp, wr)
             if span is not None:
                 span.end()
-        elif self._transmit(qp, wr, span):
-            return  # a later entry carries the WR on
-        elif span is not None:
-            span.end()
+        else:
+            ssn = qp.next_ssn()
+            try:
+                if wr.opcode.needs_response_payload:
+                    self._gather_check_only(qp, wr)  # the landing buffer's lkey
+                data = self._gather(qp, wr)
+            except AccessError:
+                self._complete_send(qp, wr, ssn, WCStatus.LOC_PROT_ERR, force=True)
+                qp.force_error()
+                self._flush_sq(qp)
+                if span is not None:
+                    span.end()
+            else:
+                if self.qos is not None and qp.tenant is not None:
+                    # Token-bucket shaping: charge the wire footprint this
+                    # WR will occupy on the line.  READs are charged their
+                    # response size (the request is header-only but the
+                    # data still flows), atomics their 8-byte operand.
+                    # Retransmissions are not re-charged — the tenant
+                    # already paid for the first attempt.
+                    if wr.opcode is Opcode.RDMA_READ:
+                        shaped_bytes = self._wire_size(wr.total_length)
+                    else:
+                        shaped_bytes = self._wire_size(wr.wire_payload_bytes)
+                    delay = self.qos.reserve(qp.tenant, shaped_bytes, self.sim.now)
+                    if delay > 0.0:
+                        qp.engine_entry = self.sim.schedule(
+                            delay, self._engine_shaped, qp, wr, ssn, data, span)
+                        return
+                self._issue(qp, wr, ssn, data, span)
+                return
         self._engine_next(qp)
 
     def _engine_stop(self, qp: QP) -> None:
@@ -417,60 +458,36 @@ class RNIC:
         is ``bytes``.  READ and ATOMIC requests carry no payload.  Inline
         WRs carry theirs captured at post time — no lkey check, and immune
         to the application reusing the buffer."""
-        if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
+        if wr.opcode.needs_response_payload:
             return b""
         if wr.inline_data is not None:
             return wr.inline_data
-        chunks = []
+        mrs = self.mrs_by_lkey
+        first = rest = None
         for sge in wr.sges:
-            mr = self.mrs_by_lkey.get(sge.lkey)
-            if mr is None:
-                raise AccessError(f"unknown lkey {sge.lkey:#x}")
+            try:
+                mr = mrs[sge.lkey]
+            except KeyError:
+                raise AccessError(f"unknown lkey {sge.lkey:#x}") from None
             if mr.pd.handle != qp.pd.handle:
                 raise AccessError("SGE MR belongs to a different PD")
             mr.check_local(sge.addr, sge.length, write=False)
-            chunks.append(mr.space.read(sge.addr, sge.length, as_run=True))
-        if len(chunks) == 1:
-            return chunks[0]
-        return b"".join(map(bytes, chunks))
+            chunk = mr.space.read(sge.addr, sge.length, as_run=True)
+            if first is None:
+                first = chunk
+            elif rest is None:
+                rest = [first, chunk]
+            else:
+                rest.append(chunk)
+        if rest is not None:
+            return b"".join(map(bytes, rest))
+        return b"" if first is None else first
 
     def _wire_size(self, payload_bytes: int) -> int:
         """Payload plus per-MTU header overhead."""
         mtu = self.config.link.mtu
         npackets = (payload_bytes + mtu - 1) // mtu or 1
         return payload_bytes + npackets * REQUEST_HEADER_BYTES
-
-    def _transmit(self, qp: QP, wr: SendWR, span) -> bool:
-        """Gather and issue one WR; True when a later entry carries it on,
-        False when it is finished here (an access error or a flush)."""
-        ssn = qp.next_ssn()
-        try:
-            if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
-                self._gather_check_only(qp, wr)  # validate the landing buffer's lkey
-            data = self._gather(qp, wr)
-        except AccessError:
-            self._complete_send(qp, wr, ssn, WCStatus.LOC_PROT_ERR, force=True)
-            qp.force_error()
-            self._flush_sq(qp)
-            return False
-
-        if self.qos is not None and qp.tenant is not None:
-            # Token-bucket shaping: charge the wire footprint this WR will
-            # occupy on the line.  READs are charged their response size
-            # (the request is header-only but the data still flows),
-            # atomics their 8-byte operand.  Retransmissions are not
-            # re-charged — the tenant already paid for the first attempt.
-            if wr.opcode is Opcode.RDMA_READ:
-                shaped_bytes = self._wire_size(wr.total_length)
-            else:
-                shaped_bytes = self._wire_size(wr.wire_payload_bytes)
-            delay = self.qos.reserve(qp.tenant, shaped_bytes, self.sim.now)
-            if delay > 0.0:
-                qp.engine_entry = self.sim.schedule(
-                    delay, self._engine_shaped, qp, wr, ssn, data, span)
-                return True
-        self._issue(qp, wr, ssn, data, span)
-        return True
 
     def _engine_shaped(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
         """The tenant's token bucket admitted the WR."""
@@ -494,7 +511,7 @@ class RNIC:
 
     def _issue(self, qp: QP, wr: SendWR, ssn: int, data: Payload, span) -> None:
         """Hand the WR to the port, or stall it on the initiator depth."""
-        if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
+        if wr.opcode.needs_response_payload:
             # IB initiator-depth limit: at most max_rd_atomic outstanding
             # READ/ATOMIC requests; the send queue stalls otherwise.
             if qp.outstanding_rd_atomic >= qp.max_rd_atomic:
@@ -514,7 +531,7 @@ class RNIC:
         else:
             size, payload = self._rc_request(qp, wr, ssn, data)
             self.node.port.transmit_deferred(
-                size, self._engine_rc_sent, qp, ssn, size, payload, span)
+                size, self._rc_sent, qp, ssn, size, payload, span)
 
     def _gather_check_only(self, qp: QP, wr: SendWR) -> None:
         for sge in wr.sges:
@@ -544,20 +561,15 @@ class RNIC:
             span.end()
         self._engine_next(qp)
 
-    def _engine_rc_sent(self, qp: QP, ssn: int, size: int, payload: dict, span) -> None:
-        """A first transmission left the port."""
-        if not qp.engine_live:
+    def _rc_sent(self, qp: QP, ssn: int, size: int, payload: dict, span) -> None:
+        """Wire-done of an RC request: book it, hand it to the switch, and
+        start the QP's idle RTO timer unless every WR that has left the
+        port is acked (a resend can trail its ACK).  A first transmission
+        (``span``: its WR's span or None) then carries the engine on; it
+        is dropped if destroy_qp stopped the engine meanwhile.  A go-back-N
+        resend passes ``_RESEND``."""
+        if not qp.engine_live and span is not _RESEND:
             return
-        self._rc_on_wire(qp, ssn, size, payload)
-        if span is not None:
-            span.end()
-        self._engine_next(qp)
-
-    def _rc_on_wire(self, qp: QP, ssn: int, size: int, payload: dict) -> None:
-        """Wire-done of an RC request (first transmission and every
-        retransmission): book it, hand it to the switch, and start the
-        QP's idle RTO timer unless every WR that has left the port is
-        acked (a resend can trail its ACK)."""
         self.tx_bytes += size
         self.tx_msgs += 1
         node = self.node
@@ -566,15 +578,25 @@ class RNIC:
             qp.wire_ssn = ssn
         if qp.rto_entry is None and qp.wire_ssn >= qp.sq_completed:
             qp.rto_entry = self._rto_timers.schedule(self._rto_expired, qp)
+        if span is _RESEND:
+            return
+        if span is not None:
+            span.end()
+        self._engine_next(qp)
 
     def _rc_request(self, qp: QP, wr: SendWR, ssn: int, data: Payload) -> Tuple[int, dict]:
-        """Wire size and payload of one RC request (first send or resend)."""
-        return self._wire_size(len(data) or wr.wire_payload_bytes), {
+        """Wire size and payload of one RC request (first send or resend).
+        ``data`` is the WR's data when the request carries it, so its
+        length is the WR's."""
+        opcode = wr.opcode
+        length = wr.total_length
+        fixed = opcode.request_bytes
+        return self._wire_size(length if fixed is None else fixed), {
             # _value_ is .value without the descriptor call
-            "kind": "req", "opcode": wr.opcode._value_, "src_node": self.node.name,
+            "kind": "req", "opcode": opcode._value_, "src_node": self.node.name,
             "src_qpn": qp.qpn, "dst_qpn": qp.remote_qpn, "ssn": ssn, "data": data,
             "imm": wr.imm_data, "remote_addr": wr.remote_addr, "rkey": wr.rkey,
-            "compare_add": wr.compare_add, "swap": wr.swap, "length": wr.total_length,
+            "compare_add": wr.compare_add, "swap": wr.swap, "length": length,
         }
 
     # -- retransmission (go-back-N) ------------------------------------------
@@ -624,7 +646,7 @@ class RNIC:
                     return
                 size, payload = self._rc_request(qp, wr, ssn, data)
                 yield self.node.port.transmit(size)
-                self._rc_on_wire(qp, ssn, size, payload)
+                self._rc_sent(qp, ssn, size, payload, _RESEND)
         finally:
             qp.going_back = False
 
@@ -674,7 +696,11 @@ class RNIC:
         self.rx_bytes += message.size_bytes
         self.rx_msgs += 1
         if kind == "ack":
-            self._handle_ack(payload)
+            try:
+                qp = self.qps[payload["dst_qpn"]]
+            except KeyError:
+                return
+            self._ack_progress(qp, payload["ssn"], WCStatus.SUCCESS)
         elif kind == "resp":
             self._handle_response(payload)
         elif kind == "nak":
@@ -712,41 +738,85 @@ class RNIC:
     # -- responder -------------------------------------------------------------
 
     def _handle_request(self, src_node: str, payload: dict) -> None:
-        qp = self.qps.get(payload["dst_qpn"])
-        if qp is None or qp.destroyed or not qp.state.can_receive():
+        """Check a request against its connection's ssn window and execute
+        it in order; answer it (ACK, response, NAK) or drop it."""
+        try:
+            qp = self.qps[payload["dst_qpn"]]
+        except KeyError:
             return  # silently dropped, requester will time out
-        if payload.get("ud"):
+        if qp.destroyed or not qp.state.can_receive:
+            return
+        if "ud" in payload:
             self._execute_recv_delivery(qp, payload, ud=True)
             return
+        src_qpn = payload["src_qpn"]
         if qp.qp_type is QPType.RC and (
-            qp.remote_node != src_node or qp.remote_qpn != payload["src_qpn"]
+            qp.remote_node != src_node or qp.remote_qpn != src_qpn
         ):
             return  # stray packet for a different connection epoch
 
-        conn_key = (src_node, payload["src_qpn"])
-        conn = self._conn_state.get(conn_key)
-        if conn is None:
+        conn_key = (src_node, src_qpn)
+        try:
+            conn = self._conn_state[conn_key]
+        except KeyError:
             conn = self._conn_state[conn_key] = _ConnState()
         ssn = payload["ssn"]
         if ssn < conn.expected_ssn:
             if ssn >= conn.first_ssn:  # duplicate: answer it again
                 reply = conn.kept.get(ssn)
                 if reply is None:
-                    reply = {"kind": "ack", "dst_qpn": payload["src_qpn"], "ssn": ssn}
+                    reply = {"kind": "ack", "dst_qpn": src_qpn, "ssn": ssn}
                 self._reply(src_node, reply)
             return
         if ssn > conn.expected_ssn:
             if not conn.nak_sent:  # one NAK per sequence error
                 conn.nak_sent = True
                 self._reply(src_node, {
-                    "kind": "nak", "reason": "seq", "dst_qpn": payload["src_qpn"],
+                    "kind": "nak", "reason": "seq", "dst_qpn": src_qpn,
                     "ssn": conn.expected_ssn,
                 })
             return
-        reply = self._execute_request(qp, src_node, payload)
-        if reply is None:
-            conn.nak_sent = True
-            return  # RNR: do not advance, requester retries
+
+        # In order: execute it.
+        try:
+            opcode = OPCODE_BY_VALUE[payload["opcode"]]
+        except KeyError:
+            opcode = Opcode(payload["opcode"])  # raises ValueError naming it
+        if opcode.is_two_sided:
+            if not self._execute_recv_delivery(qp, payload, ud=False):
+                self._reply_rnr(src_node, conn, src_qpn, ssn)
+                return
+            reply = {"kind": "ack", "dst_qpn": src_qpn, "ssn": ssn}
+        elif opcode is Opcode.RDMA_WRITE or opcode is Opcode.RDMA_WRITE_WITH_IMM:
+            addr = payload["remote_addr"]
+            try:
+                mr = self._lookup_remote(payload["rkey"], addr, payload["length"], "write")
+            except AccessError:
+                reply = self._nak_access(payload)
+            else:
+                mr.space.write(addr, payload["data"])
+                if opcode is Opcode.RDMA_WRITE_WITH_IMM:
+                    recv_wr = qp.consume_recv()
+                    if recv_wr is None:
+                        self._reply_rnr(src_node, conn, src_qpn, ssn)
+                        return
+                    self._push_recv_cqe(qp, recv_wr, WCStatus.SUCCESS,
+                                        len(payload["data"]), payload.get("imm"))
+                reply = {"kind": "ack", "dst_qpn": src_qpn, "ssn": ssn}
+        elif opcode is Opcode.RDMA_READ:
+            data = self._execute_read(qp, payload)
+            if data is None:
+                reply = self._nak_access(payload)
+            else:
+                reply = {"kind": "resp", "dst_qpn": src_qpn, "ssn": ssn, "data": data}
+        elif opcode.is_atomic:
+            orig = self._execute_atomic(qp, payload, opcode)
+            if orig is None:
+                reply = self._nak_access(payload)
+            else:
+                reply = {"kind": "resp", "dst_qpn": src_qpn, "ssn": ssn, "data": orig}
+        else:
+            raise ValueError(f"responder cannot execute opcode {opcode}")
         conn.nak_sent = False
         conn.expected_ssn += 1
         if reply["kind"] != "ack":
@@ -755,6 +825,11 @@ class RNIC:
             first = conn.first_ssn = conn.expected_ssn - 128
             conn.kept = {s: r for s, r in conn.kept.items() if s >= first}
         self._reply(src_node, reply)
+
+    def _reply_rnr(self, dst: str, conn: _ConnState, src_qpn: int, ssn: int) -> None:
+        """No RECV posted: NAK, and do not advance; the requester retries."""
+        self._reply(dst, {"kind": "nak", "reason": "rnr", "dst_qpn": src_qpn, "ssn": ssn})
+        conn.nak_sent = True
 
     def _reply(self, dst: str, reply: dict) -> None:
         # A stored reply may be sent again, so it is read, never changed.
@@ -771,59 +846,21 @@ class RNIC:
         node = self.node
         node.network.transmit_raw(node.name, dst, size, RDMA_PROTOCOL, reply)
 
-    def _execute_request(self, qp: QP, src_node: str, payload: dict) -> Optional[dict]:
-        """Execute a validated in-order request; return the reply payload."""
-        try:
-            opcode = OPCODE_BY_VALUE[payload["opcode"]]
-        except KeyError:
-            opcode = Opcode(payload["opcode"])  # raises ValueError naming it
-        ssn = payload["ssn"]
-        ack = {"kind": "ack", "dst_qpn": payload["src_qpn"], "ssn": ssn}
-        if opcode.is_two_sided:
-            if not self._execute_recv_delivery(qp, payload, ud=False):
-                self._reply(src_node, {"kind": "nak", "reason": "rnr",
-                                       "dst_qpn": payload["src_qpn"], "ssn": ssn})
-                return None
-            return ack
-        if opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-            if not self._execute_write(qp, payload, opcode):
-                return self._nak_access(payload)
-            if opcode is Opcode.RDMA_WRITE_WITH_IMM:
-                recv_wr = qp.consume_recv()
-                if recv_wr is None:
-                    self._reply(src_node, {"kind": "nak", "reason": "rnr",
-                                           "dst_qpn": payload["src_qpn"], "ssn": ssn})
-                    return None
-                self._push_recv_cqe(qp, recv_wr, WCStatus.SUCCESS,
-                                    len(payload["data"]), payload.get("imm"))
-            return ack
-        if opcode is Opcode.RDMA_READ:
-            data = self._execute_read(qp, payload)
-            if data is None:
-                return self._nak_access(payload)
-            return {"kind": "resp", "dst_qpn": payload["src_qpn"], "ssn": ssn,
-                    "data": data}
-        if opcode.is_atomic:
-            orig = self._execute_atomic(qp, payload, opcode)
-            if orig is None:
-                return self._nak_access(payload)
-            return {"kind": "resp", "dst_qpn": payload["src_qpn"], "ssn": ssn,
-                    "data": orig}
-        raise ValueError(f"responder cannot execute opcode {opcode}")
-
     def _nak_access(self, payload: dict) -> dict:
         return {"kind": "nak", "reason": "access", "dst_qpn": payload["src_qpn"],
                 "ssn": payload["ssn"]}
 
     def _lookup_remote(self, rkey: int, addr: int, length: int, op: str):
         """Resolve an rkey to (MR, space) honoring memory windows."""
-        mw = self.mws_by_rkey.get(rkey)
-        if mw is not None:
+        mws = self.mws_by_rkey
+        if rkey in mws:
+            mw = mws[rkey]
             mw.check_remote(addr, length, op)
             return mw.mr
-        mr = self.mrs_by_rkey.get(rkey)
-        if mr is None:
-            raise AccessError(f"unknown rkey {rkey:#x}")
+        try:
+            mr = self.mrs_by_rkey[rkey]
+        except KeyError:
+            raise AccessError(f"unknown rkey {rkey:#x}") from None
         mr.check_remote(addr, length, op)
         return mr
 
@@ -898,15 +935,6 @@ class RNIC:
         for cq, wc in batch:
             cq.push(wc)
 
-    def _execute_write(self, qp: QP, payload: dict, opcode: Opcode) -> bool:
-        data = payload["data"]
-        try:
-            mr = self._lookup_remote(payload["rkey"], payload["remote_addr"], len(data), "write")
-        except AccessError:
-            return False
-        mr.space.write(payload["remote_addr"], data)
-        return True
-
     def _execute_read(self, qp: QP, payload: dict) -> Optional[Payload]:
         length = payload["length"]
         try:
@@ -933,12 +961,6 @@ class RNIC:
         return orig
 
     # -- requester-side completion ------------------------------------------------
-
-    def _handle_ack(self, payload: dict) -> None:
-        qp = self.qps.get(payload["dst_qpn"])
-        if qp is None:
-            return
-        self._ack_progress(qp, payload["ssn"], WCStatus.SUCCESS)
 
     def _handle_response(self, payload: dict) -> None:
         qp = self.qps.get(payload["dst_qpn"])
@@ -971,19 +993,27 @@ class RNIC:
 
     def _ack_progress(self, qp: QP, ssn: int, status: WCStatus, byte_len: int = 0) -> None:
         """Record an acknowledgement; complete WRs strictly in SSN order."""
-        wr = qp.sq_inflight.get(ssn)
-        if wr is None:
+        inflight = qp.sq_inflight
+        if ssn not in inflight:
             return
+        wr = inflight[ssn]
         acked = qp._acked
-        acked[ssn] = (wr, status, byte_len)
         next_ssn = qp.sq_completed
-        if next_ssn not in acked:
-            return  # out of order: no progress, the RTO timer runs on
-        while next_ssn in acked:
-            wr, st, blen = acked.pop(next_ssn)
-            qp.sq_inflight.pop(next_ssn, None)
-            self._complete_send(qp, wr, next_ssn, st, byte_len=blen)
+        if ssn != next_ssn:
+            acked[ssn] = (wr, status, byte_len)
+            if next_ssn not in acked:
+                return  # out of order: no progress, the RTO timer runs on
+            wr, status, byte_len = acked.pop(next_ssn)
+        elif acked:
+            acked.pop(ssn, None)
+        while True:
+            if next_ssn in inflight:
+                del inflight[next_ssn]
+            self._complete_send(qp, wr, next_ssn, status, byte_len=byte_len)
             next_ssn = qp.sq_completed
+            if next_ssn not in acked:
+                break
+            wr, status, byte_len = acked.pop(next_ssn)
         # Progress: restart the RTO timer while a WR that has left the port
         # is unacked (a WR queued at the port is already in sq_inflight).
         self._reset_rto(qp)
@@ -1006,7 +1036,7 @@ class RNIC:
         if status is not WCStatus.SUCCESS and status is not WCStatus.WR_FLUSH_ERR:
             qp.force_error()
         if wr.signaled or status is not WCStatus.SUCCESS or force:
-            if not byte_len and wr.opcode is not Opcode.RDMA_READ and not wr.opcode.is_atomic:
+            if not byte_len and not wr.opcode.needs_response_payload:
                 byte_len = wr.total_length
             self._deliver_wc(qp.send_cq, WorkCompletion(
                 wr_id=wr.wr_id, status=status, opcode=wr.opcode,

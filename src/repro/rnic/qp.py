@@ -142,15 +142,12 @@ class QP:
         self._next_ssn += 1
         return ssn
 
-    def sq_space(self) -> int:
-        return self.max_send_wr - (self.sq_posted - self.sq_completed)
-
     def enqueue_send(self, wr: SendWR) -> None:
         if self.destroyed:
             raise QPStateError(f"QP {self.qpn:#x} is destroyed")
-        if not self.state.can_post_send():
+        if not self.state.can_post_send:
             raise QPStateError(f"QP {self.qpn:#x}: post_send in state {self.state.value}")
-        if self.sq_space() <= 0:
+        if self.sq_posted - self.sq_completed >= self.max_send_wr:
             raise ResourceError(f"QP {self.qpn:#x}: send queue full (depth {self.max_send_wr})")
         self.sq_pending.append(wr)
         self.sq_posted += 1
@@ -162,7 +159,7 @@ class QP:
             raise QPStateError(f"QP {self.qpn:#x} is destroyed")
         if self.srq is not None:
             raise QPStateError(f"QP {self.qpn:#x} uses an SRQ; post to the SRQ instead")
-        if not self.state.can_post_recv():
+        if not self.state.can_post_recv:
             raise QPStateError(f"QP {self.qpn:#x}: post_recv in state {self.state.value}")
         if len(self.rq) >= self.max_recv_wr:
             raise ResourceError(f"QP {self.qpn:#x}: receive queue full (depth {self.max_recv_wr})")

@@ -57,7 +57,7 @@ class SendWR:
     @property
     def total_length(self) -> int:
         # Recomputed per read (SGEs are edited on clones); a plain loop,
-        # because this runs twice per WR on the data path.
+        # because this runs on the data path.
         total = 0
         for sge in self.sges:
             total += sge.length
@@ -66,11 +66,8 @@ class SendWR:
     @property
     def wire_payload_bytes(self) -> int:
         """Bytes the request carries on the wire toward the responder."""
-        if self.opcode is Opcode.RDMA_READ:
-            return 0  # the READ request is header-only; data flows back
-        if self.opcode.is_atomic:
-            return ATOMIC_OPERAND_BYTES
-        return self.total_length
+        fixed = self.opcode.request_bytes  # READ: header-only; atomic: operand
+        return self.total_length if fixed is None else fixed
 
 
 @dataclass(slots=True)

@@ -8,10 +8,11 @@ event's value (or the event's exception, raised inside the generator).
 
 The per-message data path does without processes: the egress
 :class:`~repro.fabric.port.Port`, the RNIC send engines and the RNIC rx
-pipeline are callback state machines whose every wait is one ``schedule``
-entry, pushed in exactly the slot the process's event would have taken
-(DESIGN.md §12.10).  Processes remain for control paths, applications and
-the migration workflow, where a wait spans many steps.
+pipeline are callback state machines whose every wait takes exactly the
+slot the process's event would have taken: one ``schedule`` entry, or a
+tail :meth:`Simulator.hand_off` that runs in place (DESIGN.md §12.10,
+§12.11).  Processes remain for control paths, applications and the
+migration workflow, where a wait spans many steps.
 
 Scheduler
 ---------
@@ -42,7 +43,10 @@ wall-clock optimisations that do not change simulated-time semantics:
 - A zero-delay entry scheduled as the last act of a dispatch goes through
   :meth:`Simulator.hand_off`, which runs it in place when it would be the
   next entry dispatched anyway (the port's wire-done callbacks, the RNIC
-  rx pipeline's hops); chains of hand-offs loop rather than recurse.
+  rx pipeline's hops) and then allocates nothing; chains of hand-offs
+  loop rather than recurse.  One message's whole hop — port finish,
+  wire-done callback, switch, delivery — is two heap entries
+  (DESIGN.md §12.12).
 - ``Timeout`` objects are pooled on a per-simulator free list.  A timeout
   whose only consumer was a process ``yield`` (the overwhelmingly common
   case) is recycled as soon as its callback has run; timeouts that are
@@ -486,9 +490,10 @@ class Simulator:
         self._heap: List[list] = []
         #: one :class:`FixedDelayQueue` per delay (:meth:`fixed_delay`)
         self._fixed_delay: Dict[float, FixedDelayQueue] = {}
-        #: while :meth:`hand_off` dispatches in place, the hand-offs made
-        #: meanwhile, as ``(seq, callback, args)``; ``None`` otherwise.
-        self._hops: Optional[List[tuple]] = None
+        #: True while :meth:`hand_off` dispatches in place; the hand-offs
+        #: made meanwhile wait in ``_hops`` as ``(seq, callback, args)``.
+        self._handing_off = False
+        self._hops: List[tuple] = []
 
     # -- scheduling ------------------------------------------------------
 
@@ -565,11 +570,11 @@ class Simulator:
         if seq is None:
             self._sequence = seq = self._sequence + 1
         hops = self._hops
-        if hops is not None:
+        if self._handing_off:
             hops.append((seq, callback, args))
             return
         heap = self._heap
-        self._hops = hops = []
+        self._handing_off = True
         try:
             while True:
                 # The heap's head precedes (now, seq) only if it is due now
@@ -586,8 +591,11 @@ class Simulator:
                 if not hops:
                     return
                 seq, callback, args = hops.pop(0)
+        except BaseException:
+            hops.clear()  # a failed dispatch takes its pending hops along
+            raise
         finally:
-            self._hops = None
+            self._handing_off = False
 
     def _live_before(self, seq: int) -> bool:
         """Whether a live entry precedes ``(now, seq)``.  Tombstones that

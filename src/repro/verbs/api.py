@@ -38,17 +38,18 @@ from repro.rnic import (
     WorkCompletion,
 )
 
-#: Cycle ledger label per posted opcode (Table 4's four operations).
-_OP_LABEL = {
-    Opcode.SEND: "send",
-    Opcode.SEND_WITH_IMM: "send",
-    Opcode.RDMA_WRITE: "write",
-    Opcode.RDMA_WRITE_WITH_IMM: "write",
-    Opcode.RDMA_READ: "read",
-    Opcode.ATOMIC_CMP_AND_SWP: "write",
-    Opcode.ATOMIC_FETCH_AND_ADD: "write",
-    Opcode.BIND_MW: "send",
-}
+#: Cycle ledger label per posted opcode (Table 4's four operations), keyed
+#: by the opcode's value: a str hashes in C, an Enum member in Python.
+_OP_LABEL = {op.value: label for op, label in (
+    (Opcode.SEND, "send"),
+    (Opcode.SEND_WITH_IMM, "send"),
+    (Opcode.RDMA_WRITE, "write"),
+    (Opcode.RDMA_WRITE_WITH_IMM, "write"),
+    (Opcode.RDMA_READ, "read"),
+    (Opcode.ATOMIC_CMP_AND_SWP, "write"),
+    (Opcode.ATOMIC_FETCH_AND_ADD, "write"),
+    (Opcode.BIND_MW, "send"),
+)}
 
 
 class VerbsAPI:
@@ -207,13 +208,13 @@ class DirectVerbs(VerbsAPI):
     # -- data path ---------------------------------------------------------------
 
     def post_send(self, qp: QP, wr: SendWR) -> None:
-        self.process.cpu.charge_base(_OP_LABEL[wr.opcode])
+        label = _OP_LABEL[wr.opcode._value_]
+        self.process.cpu.charge_base(label)
         if wr.inline and wr.inline_data is None:
             capture_inline(self.process, qp, wr)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.instant(tracer.lane(self.rnic.node.name, "verbs"),
-                           f"post:{_OP_LABEL[wr.opcode]}",
+            tracer.instant(tracer.lane(self.rnic.node.name, "verbs"), f"post:{label}",
                            {"qpn": qp.qpn, "bytes": wr.total_length})
         self.rnic.post_send(qp, wr)
 

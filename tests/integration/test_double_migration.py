@@ -93,3 +93,50 @@ class TestBothSidesMigrate:
                                     sender.stats.status_errors[:3])
         assert sender.container.server is tb.partners[1]
         assert not tb.sim.failed_processes, tb.sim.failed_processes[:3]
+
+
+class TestResponderConnectionState:
+    """A responder keeps one ``_ConnState`` per requester QP it hears from.
+    Migrating the requester away and back again ("rolling it back" after
+    switchover) shows the old requester's ssn stream never reaches the
+    partner again: its QP is destroyed, the requester that replaces it
+    gets a fresh QPN, and the partner QP that answered it is destroyed at
+    switchover.  So the partner drops that state with the QP."""
+
+    def test_old_requester_stream_is_gone_after_migrating_back(self):
+        from repro.beds import PerftestBed
+
+        bed = PerftestBed(4, verify_content=True)  # migrate_fanout's shape
+        bed.run(bed.setup())
+        source, partner = bed.source.rnic, bed.partners[0].rnic
+        first_keys = {(bed.source.name, qpn) for qpn in source.qps}
+        bed.start_traffic()
+
+        def live_remotes():
+            return {(qp.remote_node, qp.remote_qpn) for qp in partner.qps.values()}
+
+        def flow():
+            yield bed.sim.timeout(2e-3)
+            there = yield from bed.migrate()
+            yield bed.sim.timeout(2e-3)
+            # migrate_fanout's end state: one entry per live connection
+            assert set(partner._conn_state) == live_remotes()
+            assert len(partner._conn_state) == 4
+            back = yield from LiveMigration(bed.world, bed.mover.container,
+                                            bed.source).run()
+            yield bed.sim.timeout(2e-3)
+            yield from bed.quiesce()
+            return there, back
+
+        there, back = bed.run(flow(), limit=100.0)
+        assert there.failure is None and back.failure is None
+        assert bed.mover.container.server is bed.source
+        assert bed.sender.stats.clean
+        # The old requesters are gone and their QPNs are not reused ...
+        assert not first_keys & {(bed.source.name, qpn) for qpn in source.qps}
+        # ... and no live responder QP on the partner answers them.
+        live = live_remotes()
+        assert len(live) == 4 and not first_keys & live
+        # One connection state per live responder QP, none for dead ones.
+        assert set(partner._conn_state) == live
+        assert not source._conn_state and not bed.destination.rnic._conn_state

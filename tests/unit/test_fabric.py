@@ -117,6 +117,94 @@ class TestPortCompletionForms:
         assert (event_credited, cb_credited, deferred_credited) == (0, len(script), 0)
 
 
+class _PassThrough:
+    """A fault injector whose every verdict is "no rule matched"."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def intercept(self, message, now):
+        self.seen += 1
+
+
+def _run_delivery_script(route, script):
+    """Send ``script`` = [(gap_us, src, dst, size, raw), ...] over a
+    three-node network whose switch is ``route``: the flat switch, the flat
+    switch with a pass-through fault injector, or a one-rack fat tree.
+    ``raw`` messages are injected as the RNIC injects them (already
+    serialized), the others go through the sender's port.  Returns the
+    delivery log and ``events_processed``."""
+    from repro.fabric import FatTreeTopology
+
+    sim = Simulator()
+    net = Network(sim, default_config())
+    names = ("a", "b", "c")
+    for name in names:
+        net.add_node(name)
+    if route == "injector":
+        net.fault_injector = injector = _PassThrough()
+    elif route == "topology":
+        FatTreeTopology(sim, net.config, {"r0": names}).attach(net)
+    log = []
+    for name in names:
+        net.node(name).register_handler(
+            "p", lambda m, name=name: log.append((sim.now, name, m.payload)))
+
+    def send(i, src, dst, size, raw):
+        if raw:
+            net.transmit_raw(src, dst, size, "p", i)
+        else:
+            net.node(src).send(Message(src, dst, "p", size, i))
+
+    at = 0.0
+    for i, (gap_us, src, dst, size, raw) in enumerate(script):
+        at += gap_us * 1e-6
+        sim.schedule(at, send, i, src, dst, size, raw)
+    sim.run()
+    if route == "injector":
+        assert injector.seen == len(script)
+    return log, sim.events_processed
+
+
+class TestDeliveryRoutes:
+    """The flat switch, a fault injector that matches nothing and a
+    one-rack fat tree are one delivery model: same arrival instants, same
+    order of same-instant deliveries, same ``events_processed``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from("abc"),
+                              st.sampled_from("abc"),
+                              st.sampled_from([0, 64, 1000, 12500]),
+                              st.booleans()),
+                    min_size=1, max_size=10))
+    def test_three_routes_agree(self, script):
+        flat = _run_delivery_script("flat", script)
+        assert len(flat[0]) == len(script)
+        assert _run_delivery_script("injector", script) == flat
+        assert _run_delivery_script("topology", script) == flat
+
+    @pytest.mark.parametrize("route", ["flat", "injector", "topology"])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_unregistered_protocol_raises_at_arrival(self, route, raw):
+        from repro.fabric import FatTreeTopology
+
+        sim = Simulator()
+        net = Network(sim, default_config())
+        net.add_node("a")
+        net.add_node("b")
+        if route == "injector":
+            net.fault_injector = _PassThrough()
+        elif route == "topology":
+            FatTreeTopology(sim, net.config, {"r0": ("a", "b")}).attach(net)
+        if raw:
+            net.transmit_raw("a", "b", 64, "unhandled", None)
+        else:
+            net.node("a").send(Message("a", "b", "unhandled", 64))
+        with pytest.raises(LookupError, match="no handler for protocol 'unhandled'"):
+            sim.run()
+        assert sim.now > 0.0
+
+
 class TestDeferredHandOff:
     def test_keeps_its_slot_before_a_same_instant_successor(self):
         """A deferred completion whose port starts a zero-length

@@ -380,4 +380,4 @@ class TestFleetFaults:
         assert got == [pytest.approx(14e-6)]
         assert plan.stats.uplink_slowdowns >= 1
         plan.uninstall()
-        assert topo.uplink("rack0").contention_factor is None
+        assert topo.uplink("rack0").stretches == ()

@@ -117,11 +117,72 @@ class TestPortContention:
 
         sim = Simulator()
         port = Port(sim, rate_bps=100e9)
-        port.contention_factor = lambda: 1.25
+        port.stretch(0.0, 1.0, 1.25)
         done_at = []
         port.transmit_cb(12500, lambda: done_at.append(sim.now))
         sim.run()
         assert done_at == [pytest.approx(1.25e-6)]
+
+    @pytest.mark.parametrize("case", ["inside", "at_end", "after"])
+    def test_rnic_write_egress_stretch(self, case):
+        """A WRITE whose serialization begins inside a firmware-command
+        window takes ``(1 + control_contention_tx_frac)`` x its wire time;
+        one that begins exactly at the window's end, or after it, takes 1x.
+        The instants are pinned exactly: the stretch is decided once, when
+        the port admits the request."""
+        from repro.config import default_config
+        from repro.rnic.nic import RDMA_PROTOCOL
+        from tests.helpers import build_pair
+
+        config = default_config()
+        rnic = config.rnic
+        fetch_s = rnic.doorbell_s + rnic.per_wqe_processing_s
+        # The command starts with the post; "at_end" makes it end exactly
+        # where the engine hands the WQE to the port.
+        rnic.create_cq_s = fetch_s if case == "at_end" else 40e-6
+        tb, a, b = build_pair(config=config)
+        nic = a.server.rnic
+        network = tb.network
+        raw = network.transmit_raw
+        wire_done = []
+
+        def spy(src, dst, size_bytes, protocol, payload):
+            if src == a.server.name and protocol == RDMA_PROTOCOL:
+                wire_done.append((tb.sim.now, size_bytes))
+            raw(src, dst, size_bytes, protocol, payload)
+
+        network.transmit_raw = spy
+        starts = []
+
+        def flow():
+            yield tb.sim.timeout(1e-3)  # setup's firmware commands are over
+            assert not nic.control_busy
+            tb.sim.spawn(nic.create_cq(8))  # one firmware command, from now
+            busy_until = tb.sim.now + rnic.create_cq_s
+            if case == "after":
+                yield tb.sim.timeout(50e-6)
+                assert not nic.control_busy
+            starts.append((tb.sim.now, busy_until))
+            a.lib.post_send(a.qp, SendWR(
+                wr_id=1, opcode=Opcode.RDMA_WRITE,
+                sges=[make_sge(a.mr, 0, 16384)],
+                remote_addr=b.mr.addr, rkey=b.mr.rkey))
+            yield tb.sim.timeout(1e-3)
+
+        tb.run(flow())
+        (posted_at, busy_until), = starts
+        serialize_at = posted_at + fetch_s
+        (done_at, size), = wire_done
+        wire_s = size * 8.0 / a.server.node.port.rate_bps
+        if case == "inside":
+            assert serialize_at < busy_until
+            assert done_at == serialize_at + wire_s * (1.0 + rnic.control_contention_tx_frac)
+        elif case == "at_end":
+            assert serialize_at == busy_until
+            assert done_at == serialize_at + wire_s
+        else:
+            assert serialize_at > busy_until
+            assert done_at == serialize_at + wire_s
 
     def test_nic_reports_busy_during_control_commands(self):
         from tests.helpers import build_pair
