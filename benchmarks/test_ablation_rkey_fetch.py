@@ -7,12 +7,14 @@ side", amortized over later translations); the paper names
 pre-fetch/batch-fetch as future work.  Both are implemented; this ablation
 runs a workload that spreads one-sided WRITEs over many MRs (the case
 where lazy re-fetching hurts: one control-plane round trip per MR) and
-measures the demand fetch RPCs each strategy needs.
+measures the demand fetch RPCs each strategy needs.  It is not a paper
+number, so it builds its bed directly.
 """
 
 import pytest
 
-from bench_common import MigrationScenario, record_result
+from bench_common import record_result
+from repro.beds import PerftestBed
 from repro.config import default_config
 
 NUM_MRS = 32
@@ -24,53 +26,40 @@ HEADER = (f"{'strategy':<15} {'demand_fetches':>15} {'fetch_rpcs':>11} "
 def run_with(prefetch: bool):
     config = default_config()
     config.migration.rkey_prefetch = prefetch
-    scenario = MigrationScenario(num_qps=4, msg_size=16384, depth=8,
-                                 mode="write", migrate="receiver",
-                                 config=config)
-    tb = scenario.tb
-    # The receiver (the migrating side) exposes many MRs; the partner
-    # spreads its WRITEs across all of them round-robin.
-    receiver = scenario.receiver
-    sender = scenario.sender
+    bed = PerftestBed(4, msg_size=16384, depth=8, migrate="receiver",
+                      config=config)
+    bed.run(bed.setup())
 
     def add_targets():
-        mrs = yield from receiver.register_extra_mrs(NUM_MRS, size=16384)
+        # The receiver (the migrating side) exposes many MRs; the partner
+        # spreads its WRITEs across all of them round-robin.
+        mrs = yield from bed.receiver.register_extra_mrs(NUM_MRS, size=16384)
         targets = [(mr.addr, mr.rkey) for mr in mrs]
-        for conn in sender.connections:
+        for conn in bed.sender.connections:
             conn.remote_targets = list(targets)
 
-    tb.run(add_targets())
-    report = scenario.run_migration(warmup_s=5e-3, settle_s=40e-3)
-    return report, sender
+    bed.run(add_targets())
+    report = bed.run_migration(warmup_s=5e-3, settle_s=40e-3)
+    return report, bed.sender.lib
 
 
-@pytest.mark.parametrize("prefetch", [False, True], ids=["lazy", "batch-prefetch"])
-def test_ablation_rkey_fetch(benchmark, prefetch):
-    report, sender = benchmark.pedantic(
-        lambda: run_with(prefetch), rounds=1, iterations=1)
-    cache = sender.lib.rkey_cache
-    rpcs = sender.lib.fetch_rpcs
-    demand = sender.lib.demand_fetches
-    benchmark.extra_info.update(fetch_rpcs=rpcs, demand_fetches=demand,
-                                misses=cache.misses, hits=cache.hits)
+@pytest.fixture(scope="module")
+def libs():
+    out = {}
+    for name, prefetch in (("lazy", False), ("batch-prefetch", True)):
+        report, lib = run_with(prefetch)
+        out[name] = lib
+        record_result(
+            "ablation_rkey_fetch.txt", HEADER,
+            f"{name:<15} {lib.demand_fetches:>15} {lib.fetch_rpcs:>11} "
+            f"{lib.rkey_cache.misses:>13} {report.blackout_s * 1e3:>12.1f}")
     record_result(
         "ablation_rkey_fetch.txt", HEADER,
-        f"{'batch-prefetch' if prefetch else 'lazy':<15} {demand:>15} "
-        f"{rpcs:>11} {cache.misses:>13} {report.blackout_s * 1e3:>12.1f}")
-    assert sender.stats.clean
+        f"# successful demand fetches: lazy={out['lazy'].demand_fetches} "
+        f"batch-prefetch={out['batch-prefetch'].demand_fetches}")
+    return out
 
 
-def test_ablation_prefetch_cuts_demand_fetches(benchmark):
-    def run_both():
-        _r1, lazy_sender = run_with(False)
-        _r2, pre_sender = run_with(True)
-        return lazy_sender.lib.demand_fetches, pre_sender.lib.demand_fetches
-
-    lazy_demand, pre_demand = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    benchmark.extra_info.update(lazy_demand=lazy_demand, prefetch_demand=pre_demand)
-    record_result(
-        "ablation_rkey_fetch.txt", HEADER,
-        f"# successful demand fetches: lazy={lazy_demand} "
-        f"batch-prefetch={pre_demand}")
+def test_ablation_prefetch_cuts_demand_fetches(libs):
     # The batch RPC replaces most per-MR demand round trips.
-    assert pre_demand < lazy_demand
+    assert libs["batch-prefetch"].demand_fetches < libs["lazy"].demand_fetches

@@ -1,10 +1,10 @@
 """Figure 4: overhead of wait-before-stop (queue depth 64).
 
 Three sweeps, as in the paper: (a) number of QPs, (b) message size,
-(c) number of partners (one-to-many perftest extension).  For each point
-we report the measured WBS elapsed time, the theoretical drain time
-``inflight_bytes / link_rate`` (the paper's footnote 2), and the
-communication blackout it is part of.
+(c) number of partners (one-to-many perftest extension), run by
+``repro.experiments.fig4``.  For each point: the measured WBS elapsed
+time, the theoretical drain time ``inflight_bytes / link_rate`` (the
+paper's footnote 2), and the communication blackout it is part of.
 
 Claims to reproduce:
 
@@ -21,112 +21,46 @@ a cross-check point verifies the equivalence.
 
 import pytest
 
-from bench_common import FULL_MODE, MigrationScenario, one_to_many_scenario, record_result
-from repro.core import LiveMigration
+from bench_common import FULL_MODE, record_result
+from repro.experiments import fig4, format_fig4
 
 QP_SWEEP = [1, 4, 16, 64] + ([256] if FULL_MODE else [])
-MSG_SWEEP = [512, 4096, 65536, 524288]
-PARTNER_SWEEP = [1, 2, 4]
-
-DEPTH = 64
-
-HEADER = (f"{'sweep':<10} {'point':>8} {'theory_us':>10} {'wbs_us':>10} "
-          f"{'ratio':>7} {'comm_blackout_ms':>17}")
 
 
-def theory_s(num_qps, msg_size, link_rate=100e9):
-    return num_qps * DEPTH * msg_size * 8 / link_rate
+@pytest.fixture(scope="module")
+def fig():
+    fig = fig4(qps=QP_SWEEP)
+    record_result("fig4_wbs_overhead.txt", *format_fig4(fig))
+    return fig
 
 
-def _record(sweep, point, theory, report):
-    ratio = report.wbs_elapsed_s / theory
-    record_result(
-        "fig4_wbs_overhead.txt", HEADER,
-        f"{sweep:<10} {point:>8} {theory * 1e6:>10.2f} "
-        f"{report.wbs_elapsed_s * 1e6:>10.2f} {ratio:>7.2f} "
-        f"{report.communication_blackout_s * 1e3:>17.2f}")
-    return ratio
+def _sweep(fig, name):
+    return [row for row in fig["rows"] if row["sweep"] == name]
 
 
-@pytest.mark.parametrize("num_qps", QP_SWEEP)
-def test_fig4a_wbs_vs_qps(benchmark, num_qps):
-    def run():
-        scenario = MigrationScenario(num_qps=num_qps, msg_size=4096, depth=DEPTH,
-                                     mode="write", presetup=False)
-        return scenario.run_migration()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    theory = theory_s(num_qps, 4096)
-    ratio = _record("qps", num_qps, theory, report)
-    benchmark.extra_info.update(wbs_us=report.wbs_elapsed_s * 1e6,
-                                theory_us=theory * 1e6, ratio=ratio)
-    # WBS is a small part of the communication blackout.
-    assert report.wbs_elapsed_s < 0.5 * report.communication_blackout_s
-    # And within a small factor of the wire-drain theory.
-    assert report.wbs_elapsed_s < 10 * theory + 50e-6
+def test_fig4a_wbs_vs_qps(fig):
+    for row in _sweep(fig, "qps"):
+        # WBS is a small part of the communication blackout ...
+        assert row["wbs_elapsed_s"] < 0.5 * row["comm_blackout_s"]
+        # ... and within a small factor of the wire-drain theory.
+        assert row["wbs_elapsed_s"] < 10 * row["theory_s"] + 50e-6
 
 
-@pytest.mark.parametrize("msg_size", MSG_SWEEP)
-def test_fig4b_wbs_vs_message_size(benchmark, msg_size):
-    def run():
-        scenario = MigrationScenario(num_qps=1, msg_size=msg_size, depth=DEPTH,
-                                     mode="write", presetup=False)
-        return scenario.run_migration()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    theory = theory_s(1, msg_size)
-    ratio = _record("msgsize", msg_size, theory, report)
-    benchmark.extra_info.update(wbs_us=report.wbs_elapsed_s * 1e6,
-                                theory_us=theory * 1e6, ratio=ratio)
-    if msg_size <= 512:
-        # The paper's 512 B point: CPU cost dominates, measured >> theory.
-        assert ratio > 2.0
-    else:
-        assert ratio < 4.0
+def test_fig4b_wbs_vs_message_size(fig):
+    for row in _sweep(fig, "msgsize"):
+        if row["point"] <= 512:
+            # The paper's 512 B point: CPU cost dominates, measured >> theory.
+            assert row["ratio"] > 2.0
+        else:
+            assert row["ratio"] < 4.0
 
 
-@pytest.mark.parametrize("num_partners", PARTNER_SWEEP)
-def test_fig4c_wbs_vs_partners(benchmark, num_partners):
-    def run():
-        tb, world, mover, partners = one_to_many_scenario(
-            num_partners, msg_size=4096, depth=DEPTH)
-        mover.start_as_sender()
-
-        def flow():
-            yield tb.sim.timeout(2e-3)
-            migration = LiveMigration(world, mover.container, tb.destination,
-                                      presetup=False)
-            report = yield from migration.run()
-            yield tb.sim.timeout(2e-3)
-            mover.stop()
-            yield tb.sim.timeout(2e-3)
-            return report
-
-        report = tb.run(flow(), limit=600.0)
-        assert mover.stats.clean, mover.stats.status_errors[:3]
-        return report
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    theory = theory_s(num_partners, 4096)  # one QP per partner
-    ratio = _record("partners", num_partners, theory, report)
-    benchmark.extra_info.update(wbs_us=report.wbs_elapsed_s * 1e6,
-                                theory_us=theory * 1e6, ratio=ratio)
-    assert report.wbs_elapsed_s < 0.5 * report.communication_blackout_s
+def test_fig4c_wbs_vs_partners(fig):
+    for row in _sweep(fig, "partners"):
+        assert row["wbs_elapsed_s"] < 0.5 * row["comm_blackout_s"]
 
 
-def test_fig4_crosscheck_presetup_independent(benchmark):
+def test_fig4_crosscheck_presetup_independent(fig):
     """WBS elapsed is (nearly) the same with and without pre-setup."""
-
-    def run_both():
-        with_pre = MigrationScenario(num_qps=4, msg_size=4096, depth=DEPTH,
-                                     mode="write", presetup=True).run_migration()
-        without = MigrationScenario(num_qps=4, msg_size=4096, depth=DEPTH,
-                                    mode="write", presetup=False).run_migration()
-        return with_pre, without
-
-    with_pre, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    record_result(
-        "fig4_wbs_overhead.txt", HEADER,
-        f"# cross-check at 4 QPs: wbs(pre-setup)={with_pre.wbs_elapsed_s * 1e6:.1f}us "
-        f"wbs(no-pre-setup)={without.wbs_elapsed_s * 1e6:.1f}us")
-    assert with_pre.wbs_elapsed_s == pytest.approx(without.wbs_elapsed_s, rel=0.6)
+    with_pre, without = fig["crosscheck_wbs_s"]
+    assert with_pre == pytest.approx(without, rel=0.6)

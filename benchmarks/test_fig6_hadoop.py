@@ -3,7 +3,7 @@
 Runs TestDFSIO and EstimatePI under three maintenance strategies —
 baseline (no maintenance), MigrRDMA live migration, and Hadoop's native
 heartbeat failover — and reports DFSIO throughput and job completion
-times.  Claims to reproduce:
+times (``repro.experiments.fig6``).  Claims to reproduce:
 
 - MigrRDMA adds only a few seconds to the JCT (the paper: +3 s) versus
   ~20 s for failover (detection timeout + backup start + log replay),
@@ -11,101 +11,37 @@ times.  Claims to reproduce:
   versus a large loss (up to 65.8 %) with failover.
 
 ``REPRO_BENCH_FULL=1`` runs the paper-scale job; the default scales the
-job down ~4x to keep the suite quick (same shape, same mechanisms).
+job down ~4x (``experiments fig6 --fast``: same shape, same mechanisms).
 """
 
 import pytest
 
 from bench_common import FULL_MODE, record_result
-from repro.apps.hadoop_scenarios import run_scenario
-from repro.config import GiB, MiB, default_config
-
-HEADER = (f"{'task':<12} {'strategy':<10} {'JCT_s':>8} {'extra_s':>8} "
-          f"{'tput_gbps':>10} {'tput_loss':>10}")
-
-
-def bench_config():
-    config = default_config()
-    if not FULL_MODE:
-        config.hadoop.dfsio_file_size_bytes = 1 * GiB
-        config.hadoop.estimatepi_samples = 100_000_000
-        config.hadoop.slave_heap_bytes = 2 * GiB
-        config.hadoop.slave_heap_dirty_bps = 128 * MiB
-        config.hadoop.failover_detect_timeout_s = 6.0
-        config.hadoop.task_log_replay_s = 3.0
-        config.hadoop.backup_container_start_s = 1.5
-    return config
+from repro.experiments import fig6, format_fig6
 
 
 @pytest.fixture(scope="module")
-def dfsio_results():
-    return {
-        scenario: run_scenario("dfsio", scenario, config=bench_config(),
-                               event_after_s=2.0)
-        for scenario in ("baseline", "migrrdma", "failover")
-    }
+def cells():
+    fig = fig6(fast=not FULL_MODE)
+    record_result("fig6_hadoop.txt", *format_fig6(fig))
+    return {(row["task"], row["scenario"]): row for row in fig["rows"]}
 
 
-@pytest.fixture(scope="module")
-def pi_results():
-    return {
-        scenario: run_scenario("estimatepi", scenario, config=bench_config(),
-                               event_after_s=2.0)
-        for scenario in ("baseline", "migrrdma", "failover")
-    }
-
-
-def test_fig6a_dfsio_throughput(benchmark, dfsio_results):
-    results = benchmark.pedantic(lambda: dfsio_results, rounds=1, iterations=1)
-    base = results["baseline"]
-    for scenario in ("baseline", "migrrdma", "failover"):
-        outcome = results[scenario]
-        loss = 1 - outcome.tput_gbps() / base.tput_gbps()
-        benchmark.extra_info[f"{scenario}_tput_gbps"] = outcome.tput_gbps()
-        record_result(
-            "fig6_hadoop.txt", HEADER,
-            f"{'dfsio':<12} {scenario:<10} {outcome.jct_s:>8.2f} "
-            f"{outcome.jct_s - base.jct_s:>8.2f} {outcome.tput_gbps():>10.2f} "
-            f"{loss:>10.1%}")
-    migr_loss = 1 - results["migrrdma"].tput_gbps() / base.tput_gbps()
-    fail_loss = 1 - results["failover"].tput_gbps() / base.tput_gbps()
+def test_fig6a_dfsio_throughput(cells):
     # Figure 6(a): modest loss with MigrRDMA, large loss with failover.
+    migr_loss = cells[("dfsio", "migrrdma")]["tput_loss"]
     assert migr_loss < 0.30
-    assert fail_loss > 2 * migr_loss
+    assert cells[("dfsio", "failover")]["tput_loss"] > 2 * migr_loss
 
 
-def test_fig6b_dfsio_jct(benchmark, dfsio_results):
-    results = benchmark.pedantic(lambda: dfsio_results, rounds=1, iterations=1)
-    base, migr, fail = (results[s].jct_s for s in ("baseline", "migrrdma", "failover"))
-    benchmark.extra_info.update(baseline_jct=base, migrrdma_jct=migr, failover_jct=fail)
-    # Figure 6(b): a few extra seconds vs ~20 s of failover recovery.
-    assert migr - base < 6.0
-    assert fail - base > 2 * (migr - base)
-    assert fail > migr > base
+@pytest.mark.parametrize("task", ["dfsio", "estimatepi"])
+def test_fig6bc_jct(cells, task):
+    # Figure 6(b)/(c): a few extra seconds vs ~20 s of failover recovery.
+    migr = cells[(task, "migrrdma")]["extra_s"]
+    fail = cells[(task, "failover")]["extra_s"]
+    assert 0 < migr < 6.0
+    assert fail > 2 * migr
 
 
-def test_fig6c_estimatepi_jct(benchmark, pi_results):
-    results = benchmark.pedantic(lambda: pi_results, rounds=1, iterations=1)
-    base = results["baseline"]
-    for scenario in ("baseline", "migrrdma", "failover"):
-        outcome = results[scenario]
-        record_result(
-            "fig6_hadoop.txt", HEADER,
-            f"{'estimatepi':<12} {scenario:<10} {outcome.jct_s:>8.2f} "
-            f"{outcome.jct_s - base.jct_s:>8.2f} {'n/a':>10} {'n/a':>10}")
-        benchmark.extra_info[f"{scenario}_jct"] = outcome.jct_s
-    assert results["migrrdma"].jct_s - base.jct_s < 6.0
-    assert results["failover"].jct_s - base.jct_s > 2 * (
-        results["migrrdma"].jct_s - base.jct_s)
-
-
-def test_fig6_migration_blackout_is_small(benchmark, dfsio_results):
-    results = benchmark.pedantic(lambda: dfsio_results, rounds=1, iterations=1)
-    report = results["migrrdma"].migration_report
-    benchmark.extra_info["blackout_ms"] = report.blackout_s * 1e3
-    record_result(
-        "fig6_hadoop.txt", HEADER,
-        f"# MigrRDMA blackout during DFSIO: {report.blackout_s * 1e3:.0f} ms, "
-        f"{report.precopy_iterations} pre-copy iterations, "
-        f"{report.bytes_transferred / 2**30:.2f} GiB shipped")
-    assert report.blackout_s < 1.0
+def test_fig6_migration_blackout_is_small(cells):
+    assert cells[("dfsio", "migrrdma")]["blackout_s"] < 1.0

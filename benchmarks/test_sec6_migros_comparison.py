@@ -3,57 +3,30 @@
 MigrOS needs RNIC modifications that do not exist in silicon, so — exactly
 like the paper — the comparison combines a measured MigrRDMA migration
 with an analytic model of MigrOS's extra stop-and-copy work (per-QP STOP
-transition, context extraction and injection).  Claim to reproduce: the
-MigrOS blackout is longer, and the gap widens with the number of QPs.
+transition, context extraction and injection): ``repro.experiments.migros``.
+Claim to reproduce: the MigrOS blackout is longer, and the gap widens with
+the number of QPs.
 """
 
 import pytest
 
-from bench_common import FULL_MODE, MigrationScenario, record_result
-from repro.baselines import MigrOsModel
-from repro.config import default_config
+from bench_common import FULL_MODE, record_result
+from repro.experiments import format_migros, migros
 
 QP_SWEEP = [16, 64, 256] if not FULL_MODE else [16, 64, 256, 1024]
 
-HEADER = (f"{'QPs':>5} {'migrrdma_ms':>12} {'migros_ms':>11} "
-          f"{'extra_ms':>9} {'slowdown':>9}")
+
+@pytest.fixture(scope="module")
+def rows():
+    table = migros(QP_SWEEP)
+    record_result("sec6_migros_comparison.txt", *format_migros(table))
+    return table["rows"]
 
 
-@pytest.mark.parametrize("num_qps", QP_SWEEP)
-def test_sec6_migros_blackout_comparison(benchmark, num_qps):
-    def run():
-        scenario = MigrationScenario(num_qps=num_qps, msg_size=65536, depth=8,
-                                     mode="write")
-        return scenario.run_migration()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    model = MigrOsModel(default_config())
-    comparison = model.compare(report, num_qps)
-    benchmark.extra_info.update(comparison)
-    record_result(
-        "sec6_migros_comparison.txt", HEADER,
-        f"{num_qps:>5} {comparison['migrrdma_blackout_s'] * 1e3:>12.1f} "
-        f"{comparison['migros_blackout_s'] * 1e3:>11.1f} "
-        f"{comparison['migros_extra_s'] * 1e3:>9.1f} "
-        f"{comparison['migros_slowdown']:>9.2f}x")
-
-    assert comparison["migros_blackout_s"] > comparison["migrrdma_blackout_s"]
+def test_sec6_migros_blackout_comparison(rows):
+    for row in rows:
+        assert row["migros_blackout_s"] > row["migrrdma_blackout_s"]
 
 
-def test_sec6_gap_widens_with_qps(benchmark):
-    def run():
-        out = {}
-        for num_qps in (QP_SWEEP[0], QP_SWEEP[-1]):
-            scenario = MigrationScenario(num_qps=num_qps, msg_size=65536,
-                                         depth=8, mode="write")
-            report = scenario.run_migration()
-            model = MigrOsModel(default_config())
-            out[num_qps] = model.compare(report, num_qps)["migros_slowdown"]
-        return out
-
-    slowdowns = benchmark.pedantic(run, rounds=1, iterations=1)
-    small, large = slowdowns[QP_SWEEP[0]], slowdowns[QP_SWEEP[-1]]
-    benchmark.extra_info.update(slowdown_small=small, slowdown_large=large)
-    record_result("sec6_migros_comparison.txt", HEADER,
-                  f"# slowdown grows with QPs: {small:.2f}x -> {large:.2f}x")
-    assert large > small
+def test_sec6_gap_widens_with_qps(rows):
+    assert rows[-1]["migros_slowdown"] > rows[0]["migros_slowdown"]

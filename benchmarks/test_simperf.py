@@ -52,7 +52,7 @@ def test_simperf_events_per_sec():
     assert len({row["events_processed"] for row in rounds}) == 1
 
     result = {
-        "scenario": f"MigrationScenario(num_qps={NUM_QPS})",
+        "scenario": f"PerftestBed({NUM_QPS})",
         "rounds": ROUNDS,
         "events_processed": best["events_processed"],
         "events_cancelled": best["events_cancelled"],

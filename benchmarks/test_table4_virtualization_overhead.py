@@ -2,107 +2,32 @@
 
 Runs the perftest cycle-sampling extension (64 B messages, one RC QP,
 matching §5.5.1) over the plain verbs library and over the MigrRDMA guest
-library.  Claims to reproduce: the virtualization layer adds only a few
-cycles per operation — 4.6-8.3 extra cycles, 3 %-9 % overhead in the
-paper — i.e. ~0.15-0.42 CPU cores for 100 M ops/s.
+library, via ``repro.experiments.table4``.  Claims to reproduce: the
+virtualization layer adds only a few cycles per operation — 4.6-8.3 extra
+cycles, 3 %-9 % overhead in the paper — i.e. ~0.15-0.42 CPU cores for
+100 M ops/s.
 """
 
 import pytest
 
 from bench_common import record_result
-from repro import cluster
-from repro.apps.perftest import PerftestEndpoint, connect_endpoints
-from repro.core import MigrRdmaWorld
-
-OPS = ["send", "write", "read"]
-ITERS = 2048
-
-HEADER = (f"{'op':<8} {'base_cycles':>12} {'virt_cycles':>12} {'extra':>8} "
-          f"{'overhead':>9} {'cores_per_100Mops':>18}")
+from repro.experiments import format_table4, table4
 
 
-def run_sampling(mode: str, virtualized: bool) -> float:
-    tb = cluster.build(num_partners=1)
-    world = MigrRdmaWorld(tb) if virtualized else None
-    sender = PerftestEndpoint(tb.source, world=world, mode=mode,
-                              msg_size=64, depth=16, sample_cycles=True)
-    receiver = PerftestEndpoint(tb.partners[0], world=world, mode=mode,
-                                msg_size=64, depth=16)
-
-    def flow():
-        yield from sender.setup(qp_budget=1)
-        yield from receiver.setup(qp_budget=1)
-        yield from connect_endpoints(sender, receiver, qp_count=1)
-        if mode == "send":
-            receiver.start_as_receiver()
-        sender.start_as_sender(iters=ITERS)
-        while sender.running:
-            yield tb.sim.timeout(50e-6)
-
-    tb.run(flow(), limit=120.0)
-    assert sender.stats.clean, sender.stats
-    assert sender.stats.completed == ITERS
-    return sender.process.cpu.mean_sample_cycles(mode)
+@pytest.fixture(scope="module")
+def table():
+    table = table4()
+    record_result("table4_virtualization_overhead.txt", *format_table4(table))
+    return {row["op"]: row for row in table["rows"]}
 
 
-@pytest.mark.parametrize("mode", OPS)
-def test_table4_per_op_overhead(benchmark, mode):
-    def run():
-        return run_sampling(mode, False), run_sampling(mode, True)
-
-    base, virt = benchmark.pedantic(run, rounds=1, iterations=1)
-    extra = virt - base
-    overhead = extra / base
-    clock_hz = 2.3e9
-    cores = extra / clock_hz * 100e6  # cores to sustain 100M ops/s of extra work
-    benchmark.extra_info.update(base_cycles=base, virt_cycles=virt,
-                                extra_cycles=extra, overhead=overhead)
-    record_result(
-        "table4_virtualization_overhead.txt", HEADER,
-        f"{mode:<8} {base:>12.1f} {virt:>12.1f} {extra:>8.1f} "
-        f"{overhead:>8.1%} {cores:>18.3f}")
-
+@pytest.mark.parametrize("op", ["send", "write", "read"])
+def test_table4_per_op_overhead(table, op):
     # The paper's band: a handful of cycles, 3-9 % overhead.
-    assert 2.0 < extra < 12.0
-    assert 0.02 < overhead < 0.12
+    assert 2.0 < table[op]["extra"] < 12.0
+    assert 0.02 < table[op]["overhead"] < 0.12
 
 
-def test_table4_recv_overhead(benchmark):
+def test_table4_recv_overhead(table):
     """'receive' is measured on the posting side of RECV WRs."""
-
-    def run():
-        results = {}
-        for virtualized in (False, True):
-            tb = cluster.build(num_partners=1)
-            world = MigrRdmaWorld(tb) if virtualized else None
-            sender = PerftestEndpoint(tb.source, world=world, mode="send",
-                                      msg_size=64, depth=16)
-            receiver = PerftestEndpoint(tb.partners[0], world=world, mode="send",
-                                        msg_size=64, depth=600, sample_cycles=True)
-
-            def flow():
-                yield from sender.setup(qp_budget=1)
-                yield from receiver.setup(qp_budget=1)
-                yield from connect_endpoints(sender, receiver, qp_count=1)
-                cpu = receiver.process.cpu
-                # Sample single post_recv invocations.
-                conn = receiver.connections[0]
-                for _ in range(512):
-                    conn.outstanding = receiver.depth - 1  # exactly one post
-                    cpu.begin_op_sample("recv")
-                    receiver._repost_recv(conn)
-                    cpu.end_op_sample()
-                yield tb.sim.timeout(1e-6)
-
-            tb.run(flow(), limit=60.0)
-            results[virtualized] = receiver.process.cpu.mean_sample_cycles("recv")
-        return results[False], results[True]
-
-    base, virt = benchmark.pedantic(run, rounds=1, iterations=1)
-    extra = virt - base
-    benchmark.extra_info.update(base_cycles=base, virt_cycles=virt, extra_cycles=extra)
-    record_result(
-        "table4_virtualization_overhead.txt", HEADER,
-        f"{'recv':<8} {base:>12.1f} {virt:>12.1f} {extra:>8.1f} "
-        f"{extra / base:>8.1%} {extra / 2.3e9 * 100e6:>18.3f}")
-    assert 2.0 < extra < 12.0
+    assert 2.0 < table["recv"]["extra"] < 12.0

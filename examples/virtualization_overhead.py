@@ -7,9 +7,9 @@ and prints per-operation CPU cycles plus the relative overhead.  Also shows
 the §6 comparison against LubeRDMA's linked-list key translation and a
 FreeFlow-style full-queue virtualization.
 
-The measurement cells go through the parallel engine (the same sweep
-implementation ``repro.experiments table4`` uses); pass ``--jobs N`` to
-fan them over worker processes.
+The measurement cells come from ``repro.experiments.table4`` (what
+``python -m repro.experiments table4`` prints, here over 512 operations
+per cell); pass ``--jobs N`` to fan them over worker processes.
 
 Run:  python examples/virtualization_overhead.py [--jobs 4]
 """
@@ -18,29 +18,13 @@ import sys
 
 from repro.baselines import FreeFlowCostModel, LubeRdmaKeyTable
 from repro.baselines.keytables import uniform_access_pattern
-from repro.parallel import TaskSpec, run_tasks
+from repro.experiments import format_table4, table4
 
 
 def main():
     jobs = int(sys.argv[sys.argv.index("--jobs") + 1]) if "--jobs" in sys.argv else 1
-    modes = ("send", "write", "read")
-    specs = [TaskSpec("repro.parallel.runners.table4_run",
-                      dict(mode=mode, virtualized=virtualized, iters=512),
-                      label=f"{mode}:{'virt' if virtualized else 'base'}")
-             for mode in modes for virtualized in (False, True)]
-    results = run_tasks(specs, jobs=jobs)
-    for result in results:
-        assert result.ok, result.error
-    cells = {(r.value["mode"], r.value["virtualized"]): r.value["mean_cycles"]
-             for r in results}
-
     print("=== Table 4: data-path CPU cycles per operation (64 B, 1 RC QP) ===")
-    print(f"{'op':<8} {'w/o virt':>10} {'with virt':>10} {'extra':>8} {'overhead':>9}")
-    for mode in modes:
-        base = cells[(mode, False)]
-        virt = cells[(mode, True)]
-        extra = virt - base
-        print(f"{mode:<8} {base:>10.1f} {virt:>10.1f} {extra:>8.1f} {extra / base:>8.1%}")
+    print("\n".join(format_table4(table4(iters=512, jobs=jobs))))
 
     print()
     print("=== §6: key translation designs (uniform access over N MRs) ===")

@@ -22,7 +22,7 @@ from repro.apps.hadoop import (
     HadoopCluster,
     TaskResult,
 )
-from repro.config import Config
+from repro.config import Config, GiB, MiB, default_config
 from repro.core import LiveMigration, MigrRdmaWorld
 
 SCENARIOS = ("baseline", "migrrdma", "failover")
@@ -101,6 +101,21 @@ def run_scenario(task_type: str, scenario: str, config: Optional[Config] = None,
     if tb.sim.failed_processes and chaos_plan is None:
         raise RuntimeError(f"background failures: {tb.sim.failed_processes[:3]}")
     return outcome
+
+
+def scaled_config() -> Config:
+    """Fig. 6's job scaled down ~4x (same shape, same mechanisms): what
+    ``experiments fig6 --fast`` and the default-size benchmark run."""
+    config = default_config()
+    hadoop = config.hadoop
+    hadoop.dfsio_file_size_bytes = 1 * GiB
+    hadoop.estimatepi_samples = 100_000_000
+    hadoop.slave_heap_bytes = 2 * GiB
+    hadoop.slave_heap_dirty_bps = 128 * MiB
+    hadoop.failover_detect_timeout_s = 6.0
+    hadoop.task_log_replay_s = 3.0
+    hadoop.backup_container_start_s = 1.5
+    return config
 
 
 def fast_test_config() -> Config:

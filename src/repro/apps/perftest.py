@@ -356,6 +356,18 @@ class PerftestEndpoint(BusyPoller):
             conn.next_seq += 1
             conn.outstanding += 1
 
+    def sample_recv_posts(self, count: int) -> None:
+        """Post ``count`` RECVs on the first QP one at a time, each inside
+        its own ``recv`` cycle sample (Table 4 measures RECV on the posting
+        side); the receive queue must have room for all of them."""
+        conn = self.connections[0]
+        cpu = self.process.cpu
+        for _ in range(count):
+            conn.outstanding = self.depth - 1  # room for exactly one post
+            cpu.begin_op_sample("recv")
+            self._repost_recv(conn)
+            cpu.end_op_sample()
+
     def _receiver_loop(self):
         poll_sleep = self._poll_sleep_s()
 

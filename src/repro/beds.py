@@ -88,39 +88,52 @@ class _WorkloadBed(Testbed):
 
 class PerftestBed(_WorkloadBed):
     """A perftest sender ``tx`` streaming to ``rx`` over ``num_qps`` RC QPs;
-    ``migrate`` names the side that lives on the source host and moves."""
+    ``migrate`` names the side that lives on the source host and moves.
+    With ``partners`` > 1 (Fig. 4(c)) the migrating sender streams to one
+    receiver per partner host, ``num_qps`` QPs each; ``receiver`` is the
+    first of ``receivers``.  ``sample_cycles`` records every endpoint's
+    per-operation cycle samples (Table 4)."""
 
     def __init__(self, num_qps: int, msg_size: int = 65536, depth: int = 8,
                  mode: str = "write", migrate: str = "sender",
                  verify_content: bool = False, config: Optional[Config] = None,
-                 virtualized: bool = True, sample_cycles: bool = False):
-        super().__init__(num_partners=1, config=config)
+                 virtualized: bool = True, sample_cycles: bool = False,
+                 partners: int = 1):
+        moves_tx = migrate == "sender"
+        if partners > 1 and not moves_tx:
+            raise ValueError("a one-to-many bed migrates its sender")
+        super().__init__(num_partners=partners, config=config)
         self.num_qps = num_qps
         self.world = MigrRdmaWorld(self) if virtualized else None
         kwargs = dict(world=self.world, mode=mode, msg_size=msg_size,
-                      depth=depth, verify_content=verify_content)
-        moves_tx = migrate == "sender"
+                      depth=depth, verify_content=verify_content,
+                      sample_cycles=sample_cycles)
         self.sender = PerftestEndpoint(
-            self.source if moves_tx else self.partners[0], name="tx",
-            sample_cycles=sample_cycles, **kwargs)
-        self.receiver = PerftestEndpoint(
-            self.partners[0] if moves_tx else self.source, name="rx", **kwargs)
+            self.source if moves_tx else self.partners[0], name="tx", **kwargs)
+        self.receivers = [
+            PerftestEndpoint(self.partners[i] if moves_tx else self.source,
+                             name=f"rx{i or ''}", **kwargs)
+            for i in range(partners)]
+        self.receiver = self.receivers[0]
         self.mover = self.sender if moves_tx else self.receiver
-        self.endpoints = [self.sender, self.receiver]
-        self.pairs = [(self.sender, self.receiver)]
+        self.endpoints = [self.sender, *self.receivers]
+        self.pairs = [(self.sender, receiver) for receiver in self.receivers]
 
     def setup(self):
         """Generator: verbs resources + the QP connections."""
-        yield from self.sender.setup(qp_budget=self.num_qps)
-        yield from self.receiver.setup(qp_budget=self.num_qps)
-        yield from connect_endpoints(self.sender, self.receiver,
-                                     qp_count=self.num_qps)
+        yield from self.sender.setup(
+            qp_budget=self.num_qps * len(self.receivers))
+        for receiver in self.receivers:
+            yield from receiver.setup(qp_budget=self.num_qps)
+            yield from connect_endpoints(self.sender, receiver,
+                                         qp_count=self.num_qps)
 
     def start_traffic(self, iters: Optional[int] = None) -> None:
         """One-sided modes run only the sender loop; SEND needs the
-        receiver reposting RECVs first."""
+        receivers reposting RECVs first."""
         if self.sender.mode == "send":
-            self.receiver.start_as_receiver()
+            for receiver in self.receivers:
+                receiver.start_as_receiver()
         self.sender.start_as_sender(iters=iters)
 
     def run_migration(self, presetup: bool = True, warmup_s: float = 2e-3,
@@ -133,8 +146,8 @@ class PerftestBed(_WorkloadBed):
             yield self.sim.timeout(warmup_s)
             yield from self.migrate(presetup)
             yield self.sim.timeout(settle_s)
-            self.sender.stop()
-            self.receiver.stop()
+            for endpoint in self.endpoints:
+                endpoint.stop()
             yield self.sim.timeout(2e-3)
 
         self.run(flow(), limit=1200.0)

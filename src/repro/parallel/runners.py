@@ -33,20 +33,55 @@ def _report_fields(report) -> Dict[str, object]:
     return {
         "phases": dict(report.breakdown.ordered()),
         "blackout_s": report.blackout_s,
+        "comm_blackout_s": report.communication_blackout_s,
         "wbs_elapsed_s": report.wbs_elapsed_s,
         "t_suspend": report.t_suspend,
         "t_resume": report.t_resume,
     }
 
 
+def _timeline_fields(report, sampler, direction: str) -> Dict[str, object]:
+    """Fig. 5's reading of the partner's 5 ms throughput samples."""
+    steady = sampler.mean_gbps(0.05, report.t_start, direction=direction)
+    # Brownout: the worst 5 ms sample while the service is still up
+    # (pre-copy + pre-setup, i.e. migration start to suspension).
+    brownout = min(getattr(s, f"{direction}_gbps") for s in sampler.samples
+                   if report.t_start + 5e-3 < s.time_s < report.t_suspend)
+    stalled = sum(end - start for start, end in sampler.blackout_intervals(
+        threshold_gbps=1.0, direction=direction)
+        if end > report.t_freeze - 0.02 and start < report.t_resume + 0.02)
+    return {
+        "sample_direction": direction,
+        "sample_times": [s.time_s for s in sampler.samples],
+        "samples": [getattr(s, f"{direction}_gbps") for s in sampler.samples],
+        "steady_gbps": steady,
+        "brownout_gbps": brownout,
+        "dip": 1 - brownout / steady,
+        "stalled_ms": stalled * 1e3,
+        "recovered_gbps": sampler.mean_gbps(report.t_resume + 0.05,
+                                            report.t_resume + 0.25,
+                                            direction=direction),
+    }
+
+
 def migration_run(num_qps: int, migrate: str, presetup: bool,
                   msg_size: int = 65536, depth: int = 8,
-                  sample_partner: bool = False) -> Dict[str, object]:
-    """One migration point of Figs. 3/4/5: plain-data report summary."""
+                  sample_partner: bool = False, sender_staging_vmas: int = 0,
+                  partners: int = 1) -> Dict[str, object]:
+    """One migration point of Figs. 3/4/5: plain-data report summary.
+
+    ``sender_staging_vmas`` maps that many extra one-page VMAs into the
+    sender's address space after setup: perftest's staging buffers, which
+    give the sender a more complicated memory table than the receiver's
+    (§5.2's reading of the Fig. 3 DumpOthers asymmetry).  ``partners`` > 1
+    is Fig. 4(c)'s one-to-many bed; ``sample_partner`` samples the (first)
+    partner NIC every 5 ms and adds Fig. 5's timeline reading."""
     from repro.obs import ThroughputSampler
 
     bed = _ready_bed(num_qps=num_qps, migrate=migrate, msg_size=msg_size,
-                     depth=depth)
+                     depth=depth, partners=partners)
+    for i in range(sender_staging_vmas):
+        bed.sender.process.space.mmap(4096, tag="data", name=f"staging{i}")
     if sample_partner:
         sampler = ThroughputSampler.for_nic(bed.sim, bed.partners[0].rnic, 5e-3)
         sampler.start()
@@ -55,14 +90,12 @@ def migration_run(num_qps: int, migrate: str, presetup: bool,
     else:
         report = bed.run_migration(presetup)
     out = {"num_qps": num_qps, "migrate": migrate, "presetup": presetup,
-           "sim_now": bed.sim.now,
+           "partners": partners, "sim_now": bed.sim.now,
            "events_processed": bed.sim.events_processed}
     out.update(_report_fields(report))
     if sample_partner:
-        direction = "rx" if migrate == "sender" else "tx"
-        out["sample_direction"] = direction
-        out["samples"] = [getattr(s, f"{direction}_gbps")
-                          for s in sampler.samples]
+        out.update(_timeline_fields(
+            report, sampler, "rx" if migrate == "sender" else "tx"))
     return out
 
 
@@ -78,36 +111,51 @@ def migros_run(num_qps: int) -> Dict[str, object]:
     return row
 
 
-def table4_run(mode: str, virtualized: bool, iters: int = 1024,
+#: single ``post_recv`` calls sampled for Table 4's ``recv`` row
+RECV_SAMPLES = 512
+
+
+def table4_run(mode: str, virtualized: bool, iters: int = 2048,
                msg_size: int = 64, depth: int = 16) -> Dict[str, object]:
-    """One cell of Table 4: mean data-path cycles for one verb mode."""
+    """One cell of Table 4: mean data-path cycles for one verb.
+
+    ``send`` / ``write`` / ``read`` sample the sender's posts over
+    ``iters`` operations.  ``recv`` is measured on the posting side: a
+    SEND-mode receiver posts :data:`RECV_SAMPLES` RECVs one at a time into
+    a receive queue deep enough for all of them, and nothing is sent."""
     from repro.beds import PerftestBed
 
-    bed = PerftestBed(1, msg_size=msg_size, depth=depth, mode=mode,
-                      virtualized=virtualized, sample_cycles=True)
-    tx = bed.sender
+    recv = mode == "recv"
+    bed = PerftestBed(1, msg_size=msg_size,
+                      depth=RECV_SAMPLES if recv else depth,
+                      mode="send" if recv else mode, virtualized=virtualized,
+                      sample_cycles=True)
+    sampled = bed.receiver if recv else bed.sender
 
     def flow():
         # Setup shares the traffic process (one spawn, not two): the
         # cell's event count and sim_now have always been taken this way.
         yield from bed.setup()
+        if recv:
+            bed.receiver.sample_recv_posts(RECV_SAMPLES)
+            return
         bed.start_traffic(iters=iters)
-        while tx.running:
+        while bed.sender.running:
             yield bed.sim.timeout(50e-6)
 
     bed.run(flow(), limit=60.0)
     bed.check_clean()
     return {"mode": mode, "virtualized": virtualized,
-            "mean_cycles": tx.process.cpu.mean_sample_cycles(mode),
+            "mean_cycles": sampled.process.cpu.mean_sample_cycles(mode),
             "sim_now": bed.sim.now}
 
 
-def fig6_run(task: str, scenario: str, fast: bool,
-             event_after_s: float) -> Dict[str, object]:
-    """One Hadoop maintenance strategy of Fig. 6."""
-    from repro.apps.hadoop_scenarios import fast_test_config, run_scenario
+def fig6_run(task: str, scenario: str, fast: bool) -> Dict[str, object]:
+    """One Hadoop maintenance strategy of Fig. 6: the paper-scale job, or
+    with ``fast`` the ~4x smaller one the default benchmark runs."""
+    from repro.apps.hadoop_scenarios import run_scenario, scaled_config
 
-    config = fast_test_config() if fast else None
+    config, event_after_s = (scaled_config(), 2.0) if fast else (None, 3.0)
     outcome = run_scenario(task, scenario, config=config,
                            event_after_s=event_after_s)
     out = {"task": task, "scenario": scenario, "jct_s": outcome.jct_s,
@@ -115,6 +163,8 @@ def fig6_run(task: str, scenario: str, fast: bool,
     report = outcome.migration_report
     if report is not None:
         out.update(_report_fields(report))
+        out.update(precopy_iterations=report.precopy_iterations,
+                   bytes_transferred=report.bytes_transferred)
     return out
 
 

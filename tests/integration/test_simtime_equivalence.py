@@ -14,8 +14,8 @@ from repro.beds import PerftestBed
 
 
 def reference_bed(config=None) -> PerftestBed:
-    """The reference scenario, set up and connected (what the benchmarks
-    call ``MigrationScenario(num_qps=16)``)."""
+    """The reference scenario, set up and connected: the 16-QP sender
+    point of ``migros_run`` (Fig. 3's, without its staging VMAs)."""
     bed = PerftestBed(16, config=config)
     bed.run(bed.setup())
     return bed

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import experiments
 from repro.experiments import main, sparkline
+from repro.parallel.runners import migration_run
 
 
 class TestSparkline:
@@ -62,3 +64,62 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
+
+
+class TestOneProducer:
+    """The CLI prints exactly the lines the benchmarks write to
+    ``benchmarks/results/``: one producer and one formatter per table."""
+
+    @pytest.mark.parametrize("argv, fig, fmt", [
+        (["fig3", "--qps", "2"], lambda: experiments.fig3([2]),
+         experiments.format_fig3),
+        (["migros", "--qps", "2"], lambda: experiments.migros([2]),
+         experiments.format_migros),
+        (["table4"], experiments.table4, experiments.format_table4),
+    ], ids=["fig3", "migros", "table4"])
+    def test_cli_prints_the_producers_lines(self, capsys, argv, fig, fmt):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "\n".join(fmt(fig())) + "\n"
+
+
+class TestSenderStagingVmas:
+    STAGING = 16
+
+    def _pair(self, migrate):
+        return (migration_run(2, migrate, presetup=True),
+                migration_run(2, migrate, presetup=True,
+                              sender_staging_vmas=self.STAGING))
+
+    def test_only_the_senders_memory_table_phases_grow(self):
+        """Staging VMAs cost per-VMA CRIU work — mostly DumpOthers, a
+        little FullRestore and image Transfer — never RDMA work, and the
+        blackout grows by exactly what the phases grew."""
+        plain, staged = self._pair("sender")
+        grown = {phase: staged["phases"][phase] - seconds
+                 for phase, seconds in plain["phases"].items()}
+        assert grown["DumpRDMA"] == 0.0
+        assert grown["DumpOthers"] > 0
+        assert grown["DumpOthers"] == max(grown.values())
+        assert staged["blackout_s"] - plain["blackout_s"] == pytest.approx(
+            sum(grown.values()), abs=1e-12)
+
+    def test_receiver_rows_unchanged(self):
+        plain, staged = self._pair("receiver")
+        for key in ("phases", "blackout_s", "sim_now", "events_processed"):
+            assert staged[key] == plain[key]
+
+
+def test_one_to_many_bed_drains_clean():
+    """A Fig. 4(c) point: the sender streams to one receiver per partner
+    host, migrates, and every pair drains with all invariants holding."""
+    from repro.beds import PerftestBed, checked
+
+    bed = PerftestBed(1, msg_size=4096, depth=64, partners=2)
+    bed.run(bed.setup())
+    assert [r.server for r in bed.receivers] == bed.partners
+    bed.drive(2e-3, presetup=False)
+    tail = checked(bed.context())
+    assert tail["invariants_ok"], tail["violations"]
+    assert bed.sender.stats.clean
+    assert all(conn.outstanding == 0 for conn in bed.sender.connections)
+    assert len(bed.sender.connections) == 2
