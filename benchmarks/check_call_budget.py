@@ -23,14 +23,14 @@ import re
 import sys
 
 #: workload -> (sim.events_processed, min sim.events_credited, *.calls budget)
-#: Budgets are the measured counts with the one-hop RC message path
-#: (DESIGN.md §12.12) rounded up to 10 000.
+#: Budgets are the measured counts with a per-connection perftest slot
+#: ring and the columnar KV op log (DESIGN.md §12.13) rounded up to 10 000.
 BUDGETS = {
-    "migrate_ref": (98_955, 358, 1_480_000),
-    "migrate_fanout": (783_513, 6_753, 11_940_000),
+    "migrate_ref": (98_955, 358, 1_450_000),
+    "migrate_fanout": (783_513, 6_753, 11_710_000),
     # per-QP RTO: duplicate go-back-N resends gone (was 154_323, 23_000)
-    "fleet_drain": (152_214, 22_950, 1_730_000),
-    "kv_noisy": (369_787, 110_000, 5_470_000),
+    "fleet_drain": (152_214, 22_950, 1_700_000),
+    "kv_noisy": (369_787, 110_000, 5_460_000),
 }
 SEED = 7
 HEADROOM = 0.05

@@ -8,12 +8,12 @@ from repro.apps.contract import (
     perftest_harness,
     run_contract,
 )
+from repro.apps.kvhistory import check_kv_history
 from repro.apps.kvstore import (
     KvClient,
     KvServer,
     KvTable,
     KvTableLayout,
-    check_kv_history,
     connect_kv,
 )
 from repro.apps.perftest import (

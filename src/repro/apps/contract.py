@@ -19,7 +19,7 @@ Checks, by capability:
 - ``delivery`` — pairwise message conservation: each receiver consumed
   exactly as many messages as its sender completed,
 - ``history`` — real-time linearizability of the KV history against the
-  server's apply log (:func:`repro.apps.kvstore.check_kv_history`),
+  server's apply log (:func:`repro.apps.kvhistory.check_kv_history`),
 - ``cas`` — lock-site mutual exclusion (subsumed by ``history`` for the
   CAS records, plus grant/release accounting),
 - ``freshness`` — one-sided READs issued *after* a migration observe at
@@ -118,7 +118,7 @@ def _check_delivery(h: WorkloadHarness) -> List[str]:
 
 
 def _check_history(h: WorkloadHarness) -> List[str]:
-    from repro.apps.kvstore import check_kv_history
+    from repro.apps.kvhistory import check_kv_history
 
     if h.kv_server is None:
         return ["history capability claimed but no kv_server provided"]

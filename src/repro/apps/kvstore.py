@@ -22,11 +22,12 @@ Clients and the server are migration transparent: they only touch the
 the Python object, and respawn their loops from ``on_migrated`` /
 ``on_rollback`` — same contract as :mod:`repro.apps.perftest`.
 
-Every operation is recorded in a history (invoke/response sim-times plus
-the observed per-key version); :func:`check_kv_history` replays it
-against the server's apply log and reports real-time linearizability
-violations.  The ``kv-linearizable`` invariant checker wires this into
-the default registry.
+Every completed operation and lock attempt is recorded in the client's
+columnar history, which :func:`~repro.apps.kvhistory.check_kv_history`
+replays against the server's apply log (``kv_applies``) to report
+real-time linearizability violations (:mod:`repro.apps.kvhistory`).
+The ``kv-linearizable`` invariant checker wires this into the default
+registry.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ import itertools
 import random
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.apps.kvhistory import (  # noqa: F401  (re-exported for kvstore's users)
+    KvCasLog,
+    KvCasRecord,
+    KvOpLog,
+    KvOpRecord,
+    check_kv_history,
+)
 from repro.apps.perftest import Connection, PerftestStats
 from repro.apps.pollloop import IDLE_POLL_S, BusyPoller
 from repro.cluster import Container, Server
@@ -274,36 +282,6 @@ def make_value(key: str, version: int, length: int) -> bytes:
     return (pattern * ((length + 3) // 4))[:length]
 
 
-# ---------------------------------------------------------------------------
-# History records + linearizability check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class KvOpRecord:
-    """One completed client operation, with real-time bounds."""
-
-    op: str  # "put" | "get"
-    key: str
-    t_invoke: float
-    t_respond: float
-    version: int  # assigned (put) or observed (get); 0 = miss
-    ok: bool = True
-
-
-@dataclass
-class KvCasRecord:
-    """One lock acquire attempt (and its paired release)."""
-
-    key: str
-    client: int
-    acquired: bool
-    released: bool = False
-    release_failed: bool = False
-    t_acquire: float = 0.0
-    t_release: float = 0.0
-
-
 @dataclass
 class KvStats(PerftestStats):
     """Perftest-shaped counters (the shared invariant checkers read the
@@ -320,88 +298,6 @@ class KvStats(PerftestStats):
     ops_issued: int = 0
     ops_completed: int = 0
     ops_failed: int = 0
-
-
-def check_kv_history(clients, server) -> List[str]:
-    """Real-time linearizability of the KV history (atomic register with
-    per-key versions).
-
-    Server truth: ``server.kv_applies[key]`` is the apply log
-    ``[(version, t_apply), ...]``.  For every client GET, the observed
-    version must (a) exist in the log with ``t_apply <= t_respond``, and
-    (b) be at least the newest version applied before ``t_invoke`` —
-    one-sided READs execute after they are posted, so anything applied
-    before the post must be visible.  PUT acks must bracket their apply
-    instant.  Violations are returned as strings (empty = linearizable).
-    """
-    violations: List[str] = []
-    applies: Dict[str, Dict[int, float]] = {}
-    for key, log in server.kv_applies.items():
-        prev = 0
-        applies[key] = {}
-        for version, t_apply in log:
-            if version != prev + 1:
-                violations.append(
-                    f"server apply log for {key!r}: version {version} follows {prev}")
-            prev = version
-            applies[key][version] = t_apply
-
-    for client in clients:
-        for rec in client.kv_history:
-            if not rec.ok:
-                continue
-            key_applies = applies.get(rec.key, {})
-            if rec.op == "put":
-                t_apply = key_applies.get(rec.version)
-                if t_apply is None:
-                    violations.append(
-                        f"{client.name}: put({rec.key!r}) acked version "
-                        f"{rec.version} never applied by the server")
-                elif not (rec.t_invoke <= t_apply <= rec.t_respond):
-                    violations.append(
-                        f"{client.name}: put({rec.key!r}) v{rec.version} applied at "
-                        f"{t_apply:.9f} outside [{rec.t_invoke:.9f}, {rec.t_respond:.9f}]")
-                continue
-            # GET
-            if rec.version != 0:
-                t_apply = key_applies.get(rec.version)
-                if t_apply is None:
-                    violations.append(
-                        f"{client.name}: get({rec.key!r}) observed version "
-                        f"{rec.version} never applied by the server")
-                    continue
-                if t_apply > rec.t_respond:
-                    violations.append(
-                        f"{client.name}: get({rec.key!r}) returned v{rec.version} "
-                        f"before it was applied ({t_apply:.9f} > {rec.t_respond:.9f})")
-            floor = 0
-            for version, t_apply in key_applies.items():
-                if t_apply <= rec.t_invoke and version > floor:
-                    floor = version
-            if rec.version < floor:
-                violations.append(
-                    f"{client.name}: stale get({rec.key!r}): returned v{rec.version} "
-                    f"but v{floor} was applied before the READ was posted "
-                    f"(invoke {rec.t_invoke:.9f})")
-
-    # CAS mutual exclusion: a successful acquire whose release CAS found a
-    # foreign value means two holders existed; >1 unreleased holder per
-    # lock means a double grant.
-    holders: Dict[str, List[KvCasRecord]] = {}
-    for client in clients:
-        for cas in client.kv_cas:
-            if cas.release_failed:
-                violations.append(
-                    f"client {cas.client}: release CAS on {cas.key!r} found a "
-                    f"foreign holder — mutual exclusion broken")
-            if cas.acquired and not cas.released:
-                holders.setdefault(cas.key, []).append(cas)
-    for key, open_holds in holders.items():
-        if len(open_holds) > 1:
-            violations.append(
-                f"lock {key!r}: {len(open_holds)} concurrent unreleased holders "
-                f"(clients {sorted(c.client for c in open_holds)})")
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +573,11 @@ class KvClient(BusyPoller):
         self.kv = kv
         self.layout = kv.layout
         self.keyspace = keyspace or [f"key{i:04d}" for i in range(32)]
+        #: key -> fingerprint and key -> lock-word offset, derived once per
+        #: key instead of once per op
+        self._fps = {key: self.layout.fingerprint(key) for key in self.keyspace}
+        self._lock_offsets = {key: self.layout.lock_offset(key)
+                              for key in self.keyspace}
         self.value_len = min(value_len, kv.layout.value_cap)
         self.depth = depth
         self.msg_size = msg_size
@@ -709,9 +610,13 @@ class KvClient(BusyPoller):
         self._free_slots: List[int] = []
         self._recv_seq = 0
 
-        self.kv_history: List[KvOpRecord] = []
-        self.kv_cas: List[KvCasRecord] = []
-        self.get_latencies: List[float] = []
+        self.kv_history = KvOpLog()
+        self.kv_cas = KvCasLog()
+
+    @property
+    def get_latencies(self) -> List[float]:
+        """Every GET's response time, in completion order."""
+        return self.kv_history.get_latencies()
 
     # -- buffer geometry ------------------------------------------------------
     # [depth send slots][depth recv slots][depth read slots][depth atomic slots]
@@ -793,7 +698,7 @@ class KvClient(BusyPoller):
         key = self.rng.choice(self.keyspace)
         slot = self._free_slots.pop()
         op = _KvOp(op_id=next(self._op_ids), kind="", key=key, slot=slot,
-                   t_invoke=self.server.sim.now, fp=self.layout.fingerprint(key))
+                   t_invoke=self.server.sim.now, fp=self._fps[key])
         self._ops[op.op_id] = op
         self.stats.ops_issued += 1
         if r < put_w:
@@ -843,7 +748,7 @@ class KvClient(BusyPoller):
         self._post(SendWR(
             wr_id=0, opcode=Opcode.ATOMIC_CMP_AND_SWP,
             sges=[make_sge(self.mr, self._atomic_off(op.slot), 8)],
-            remote_addr=self.remote_table_addr + self.layout.lock_offset(op.key),
+            remote_addr=self.remote_table_addr + self._lock_offsets[op.key],
             rkey=self.remote_table_rkey,
             compare_add=expect, swap=swap), op)
 
@@ -925,10 +830,7 @@ class KvClient(BusyPoller):
 
     def _finish_get(self, op: _KvOp, version: int, now: float) -> None:
         self.stats.gets += 1
-        self.get_latencies.append(now - op.t_invoke)
-        self.kv_history.append(KvOpRecord(
-            op="get", key=op.key, t_invoke=op.t_invoke, t_respond=now,
-            version=version))
+        self.kv_history.record("get", op.key, op.t_invoke, now, version)
         self._retire(op)
 
     def _continue_cas(self, op: _KvOp) -> None:
@@ -946,19 +848,14 @@ class KvClient(BusyPoller):
                 self._issue_cas(op, expect=self.client_id, swap=0)
                 return
             # lost the race: record the failed attempt and retire
-            self.kv_cas.append(KvCasRecord(
-                key=op.key, client=self.client_id, acquired=False,
-                t_acquire=now))
+            self.kv_cas.record(op.key, self.client_id, False, t_acquire=now)
             self._retire(op)
             return
         # release phase
-        rec = KvCasRecord(key=op.key, client=self.client_id, acquired=True,
-                          t_acquire=op.t_acquire, t_release=now)
-        if observed == self.client_id:
-            rec.released = True
-        else:
-            rec.release_failed = True
-        self.kv_cas.append(rec)
+        released = observed == self.client_id
+        self.kv_cas.record(op.key, self.client_id, True, released=released,
+                           release_failed=not released,
+                           t_acquire=op.t_acquire, t_release=now)
         self._retire(op)
 
     def _handle_reply(self, wc) -> None:
@@ -993,9 +890,8 @@ class KvClient(BusyPoller):
             return
         now = self.server.sim.now
         self.stats.puts += 1
-        self.kv_history.append(KvOpRecord(
-            op="put", key=op.key, t_invoke=op.t_invoke, t_respond=now,
-            version=version, ok=bool(status)))
+        self.kv_history.record("put", op.key, op.t_invoke, now, version,
+                               bool(status))
         self._retire(op)
 
     def _retire(self, op: _KvOp) -> None:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from repro.apps.pollloop import IDLE_POLL_S, POLL_BATCH, BusyPoller
 from repro.cluster import Container, Server
-from repro.rnic import AccessFlags, Opcode, QPType, RecvWR, SendWR
+from repro.rnic import SGE, AccessFlags, Opcode, QPType, RecvWR, SendWR
 from repro.verbs.api import make_sge
 
 _endpoint_ids = itertools.count(1)
@@ -64,6 +64,8 @@ class Connection:
     #: RECV-ring cursor of servers that keep ``next_seq`` for send-queue
     #: accounting (the KV server's message ring)
     _recv_ring_seq: int = field(default=0, repr=False, compare=False)
+    #: address of this QP's slot ring in a perftest buffer, set on first use
+    ring_base: Optional[int] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -174,6 +176,16 @@ class PerftestEndpoint(BusyPoller):
         return (self.buf_addr + conn_index * self.buffer_bytes_per_qp()
                 + (seq % self.depth) * self.msg_size)
 
+    def _ring_base(self, conn: Connection) -> int:
+        """Address of ``conn``'s slot ring, bounds-checked against the MR
+        once and kept on the connection: a WR then only adds its slot's
+        offset.  The MR starts at ``buf_addr``, so an address is its own
+        SGE address."""
+        ring = self.buffer_bytes_per_qp()
+        make_sge(self.mr, conn.index * ring, ring)  # raises if the ring leaves the MR
+        conn.ring_base = self.buf_addr + conn.index * ring
+        return conn.ring_base
+
     # ------------------------------------------------------------------
     # traffic loops
     # ------------------------------------------------------------------
@@ -199,20 +211,23 @@ class PerftestEndpoint(BusyPoller):
 
     # -- sender -------------------------------------------------------------
 
-    def _build_wr(self, index: int, conn: Connection) -> SendWR:
+    def _build_wr(self, conn: Connection) -> SendWR:
         seq = conn.next_seq
-        addr = self.slot_addr(index, seq)
+        base = conn.ring_base
+        if base is None:
+            base = self._ring_base(conn)
+        addr = base + (seq % self.depth) * self.msg_size
         if self.verify_content:
             self.process.space.write(addr, seq.to_bytes(8, "little")
-                                     + index.to_bytes(4, "little") + b"PERF")
+                                     + conn.index.to_bytes(4, "little") + b"PERF")
         if self.opcode.is_atomic:
             return SendWR(
                 wr_id=seq, opcode=self.opcode,
-                sges=[make_sge(self.mr, addr - self.buf_addr, 8)],
+                sges=[SGE(addr=addr, length=8, lkey=self.mr.lkey)],
                 remote_addr=conn.remote_addr, rkey=conn.remote_rkey,
                 compare_add=1)
         wr = SendWR(wr_id=seq, opcode=self.opcode,
-                    sges=[make_sge(self.mr, addr - self.buf_addr, self.msg_size)])
+                    sges=[SGE(addr=addr, length=self.msg_size, lkey=self.mr.lkey)])
         if self.opcode.is_one_sided:
             if conn.remote_targets:
                 target_addr, target_rkey = conn.remote_targets[
@@ -257,7 +272,7 @@ class PerftestEndpoint(BusyPoller):
     def _post_one(self, conn: Connection) -> None:
         if self.process.cpu.record_samples:
             self.process.cpu.begin_op_sample(self.mode)
-        self.lib.post_send(conn.qp, self._build_wr(conn.index, conn))
+        self.lib.post_send(conn.qp, self._build_wr(conn))
         if self.process.cpu.record_samples:
             self.process.cpu.end_op_sample()
         conn.next_seq += 1
@@ -347,11 +362,14 @@ class PerftestEndpoint(BusyPoller):
             self._repost_recv(conn)
 
     def _repost_recv(self, conn: Connection) -> None:
+        base = conn.ring_base
+        if base is None:
+            base = self._ring_base(conn)
         while conn.outstanding < self.depth:
             seq = conn.next_seq
-            addr = self.slot_addr(conn.index, seq)
+            addr = base + (seq % self.depth) * self.msg_size
             wr = RecvWR(wr_id=seq,
-                        sges=[make_sge(self.mr, addr - self.buf_addr, self.msg_size)])
+                        sges=[SGE(addr=addr, length=self.msg_size, lkey=self.mr.lkey)])
             self.lib.post_recv(conn.qp, wr)
             conn.next_seq += 1
             conn.outstanding += 1

@@ -426,7 +426,7 @@ def _check_kv_linearizable(ctx):
     if not servers:
         yield "KV clients ran without a KV server in the invariant context"
         return
-    from repro.apps.kvstore import check_kv_history
+    from repro.apps.kvhistory import check_kv_history
 
     for server in servers:
         own = [c for c in clients if c.kv is server]

@@ -302,11 +302,11 @@ class IndirectionLayer:
             return {"found": False}
         pid, service_id = owner
         state = self.processes[pid]
-        for record in state.qp_records():
-            if record.args["vqpn"] == vqpn:
-                qp: QP = state.resources[record.rid]
-                return {"found": True, "pqpn": qp.qpn, "service_id": service_id}
-        return {"found": False}
+        rid = state.log.qp_rid(vqpn)
+        if rid is None:
+            return {"found": False}
+        qp: QP = state.resources[rid]
+        return {"found": True, "pqpn": qp.qpn, "service_id": service_id}
 
     def _srv_resolve_rkey(self, request: dict):
         """(service_id, vrkey) -> current physical rkey."""

@@ -57,6 +57,13 @@ class ResourceLog:
 
     def __init__(self):
         self._records: Dict[int, ResourceRecord] = {}
+        #: vqpn -> rid of the first-logged live QP record carrying it (a QP
+        #: record's ``args["vqpn"]`` is fixed when it is logged).  Later
+        #: records with the same vqpn wait in ``_qp_shadowed``, in creation
+        #: order: a migrated process can create a QP whose physical QPN
+        #: equals one of its old vqpns.
+        self._qp_rid: Dict[int, int] = {}
+        self._qp_shadowed: Dict[int, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -71,11 +78,30 @@ class ResourceLog:
         if missing:
             raise ValueError(f"record {record.rid} depends on unknown rids {missing}")
         self._records[record.rid] = record
+        vqpn = record.args.get("vqpn") if record.kind == "qp" else None
+        if vqpn is not None:
+            if vqpn in self._qp_rid:
+                self._qp_shadowed.setdefault(vqpn, []).append(record.rid)
+            else:
+                self._qp_rid[vqpn] = record.rid
         return record
 
     def remove(self, rid: int) -> None:
         """Deleting a creation record when the resource is destroyed (§3.2)."""
-        self._records.pop(rid, None)
+        record = self._records.pop(rid, None)
+        vqpn = record.args.get("vqpn") if record is not None and record.kind == "qp" else None
+        if vqpn is None:
+            return
+        shadowed = self._qp_shadowed.get(vqpn, [])
+        if self._qp_rid.get(vqpn) == rid:
+            if shadowed:
+                self._qp_rid[vqpn] = shadowed.pop(0)
+            else:
+                del self._qp_rid[vqpn]
+        elif rid in shadowed:
+            shadowed.remove(rid)
+        if not shadowed:
+            self._qp_shadowed.pop(vqpn, None)
 
     def get(self, rid: int) -> ResourceRecord:
         return self._records[rid]
@@ -87,6 +113,11 @@ class ResourceLog:
 
     def of_kind(self, kind: str) -> List[ResourceRecord]:
         return [r for r in self._records.values() if r.kind == kind]
+
+    def qp_rid(self, vqpn: int) -> Optional[int]:
+        """The first-created live QP record with virtual QPN ``vqpn`` — what
+        a scan of ``of_kind("qp")`` finds first — in O(1)."""
+        return self._qp_rid.get(vqpn)
 
     def snapshot(self) -> List[ResourceRecord]:
         return [r.clone() for r in self._records.values()]

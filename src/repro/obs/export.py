@@ -99,29 +99,37 @@ def census_summary(tracer: Tracer) -> str:
 
 
 def timeline_summary(tracer: Tracer, metrics=None, top: int = 20) -> str:
-    """Plain-text report: per-lane span stats + the longest spans."""
+    """Plain-text report: per-lane span stats + the longest spans.
+
+    Only simulated-time lanes are ranked and summed, so the report is a
+    function of the seed.  The kernel's lanes carry wall-clock time; they
+    get a separate section with their record counts, and their durations
+    stay in the Chrome trace."""
     per_lane: Dict[Any, Dict[str, float]] = {}
+    host_lanes: Dict[Any, Dict[str, float]] = {}
     spans: List[tuple] = []
-    instants = 0
     for record in tracer.events():
         kind, lane = record[0], record[1]
-        if kind == _SPAN:
-            _k, _l, name, start_us, dur_us, _args = record
-            stats = per_lane.setdefault(
-                lane, {"spans": 0, "busy_us": 0.0, "instants": 0})
-            stats["spans"] += 1
+        if kind not in (_SPAN, _INSTANT):
+            continue
+        lanes = host_lanes if lane.process == tracer.KERNEL_PROCESS else per_lane
+        stats = lanes.setdefault(lane, {"spans": 0, "busy_us": 0.0, "instants": 0})
+        if kind == _INSTANT:
+            stats["instants"] += 1
+            continue
+        _k, _l, name, start_us, dur_us, _args = record
+        stats["spans"] += 1
+        if lanes is per_lane:
             stats["busy_us"] += dur_us
             spans.append((start_us, dur_us, lane, name))
-        elif kind == _INSTANT:
-            stats = per_lane.setdefault(
-                lane, {"spans": 0, "busy_us": 0.0, "instants": 0})
-            stats["instants"] += 1
-            instants += 1
+
+    def by_lane(lanes):
+        return sorted(lanes.items(), key=lambda kv: (kv[0].pid, kv[0].tid))
 
     lines: List[str] = []
     lines.append("lanes:")
     lines.append(f"  {'lane':<34}{'spans':>8}{'busy_ms':>10}{'instants':>10}")
-    for lane, stats in sorted(per_lane.items(), key=lambda kv: (kv[0].pid, kv[0].tid)):
+    for lane, stats in by_lane(per_lane):
         label = f"{lane.process}/{lane.thread}"
         lines.append(f"  {label:<34}{int(stats['spans']):>8}"
                      f"{stats['busy_us'] / 1e3:>10.3f}{int(stats['instants']):>10}")
@@ -133,6 +141,14 @@ def timeline_summary(tracer: Tracer, metrics=None, top: int = 20) -> str:
                 spans, key=lambda s: -s[1])[:top]:
             lines.append(f"  {start_us / 1e3:>12.3f}{dur_us / 1e3:>10.3f}  "
                          f"{lane.process}/{lane.thread}: {name}")
+    if host_lanes:
+        lines.append("")
+        lines.append("host-timed lanes (wall clock, durations in the trace JSON only):")
+        lines.append(f"  {'lane':<34}{'spans':>8}{'instants':>10}")
+        for lane, stats in by_lane(host_lanes):
+            label = f"{lane.process}/{lane.thread}"
+            lines.append(f"  {label:<34}{int(stats['spans']):>8}"
+                         f"{int(stats['instants']):>10}")
     if metrics is not None:
         lines.append("")
         lines.append("metrics:")

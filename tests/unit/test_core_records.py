@@ -70,6 +70,33 @@ class TestResourceLog:
             log.add(record("mr"))
         assert log.dump_bytes == 10 * RECORD_BYTES
 
+    def test_qp_rid_is_the_first_live_record_of_a_vqpn(self):
+        """The vqpn index answers what a creation-order scan of the QP
+        records answers, a vqpn logged twice included (a process that
+        migrated can create a QP whose physical QPN equals an old vqpn)."""
+        log = ResourceLog()
+
+        def qp(vqpn):
+            return log.add(ResourceRecord(rid=new_rid(), kind="qp", pid=1,
+                                          args={"vqpn": vqpn}))
+
+        def scan(vqpn):
+            return next((r.rid for r in log.of_kind("qp")
+                         if r.args["vqpn"] == vqpn), None)
+
+        first, other, second, third = qp(0x100), qp(0x101), qp(0x100), qp(0x100)
+        log.add(record("mr"))
+        for vqpn in (0x100, 0x101, 0x102):
+            assert log.qp_rid(vqpn) == scan(vqpn)
+        assert log.qp_rid(0x100) == first.rid
+        log.remove(second.rid)  # a shadowed record goes first
+        assert log.qp_rid(0x100) == first.rid == scan(0x100)
+        log.remove(first.rid)
+        assert log.qp_rid(0x100) == third.rid == scan(0x100)
+        log.remove(third.rid)
+        log.remove(other.rid)
+        assert log.qp_rid(0x100) is None and log.qp_rid(0x101) is None
+
     def test_rids_monotonic(self):
         a, b = new_rid(), new_rid()
         assert b > a

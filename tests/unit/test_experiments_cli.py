@@ -61,6 +61,21 @@ class TestCli:
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         assert doc["otherData"]["metrics"]["sim.events_processed"] > 0
 
+    def test_trace_summary_is_a_function_of_the_seed(self, capsys, tmp_path):
+        """Only simulated spans are ranked and summed; the kernel's
+        wall-clock batches are counted in their own section."""
+        out_file = tmp_path / "trace.json"
+        outputs = []
+        for _ in range(2):
+            assert main(["trace", "--qps", "2", "--out", str(out_file)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lanes, _, rest = outputs[0].partition("longest 20 spans:")
+        assert "sim-kernel" not in lanes
+        ranked, _, host = rest.partition("host-timed lanes")
+        assert "dispatch-batch" not in ranked
+        assert "sim-kernel/dispatch" in host
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
