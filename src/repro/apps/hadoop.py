@@ -108,25 +108,6 @@ class TaskResult:
             raise ValueError("task did not run")
         return self.total_bytes * 8 / self.jct_s / 1e9
 
-    def interval_tput_gbps(self, interval_s: float = 0.5) -> List[Tuple[float, float]]:
-        """Resampled throughput timeline."""
-        if not self.progress:
-            return []
-        out = []
-        t0 = self.progress[0][0]
-        end = self.progress[-1][0]
-        marks = iter(self.progress)
-        last_t, last_b = t0, 0
-        current = t0 + interval_s
-        done_b = 0
-        for t, b in self.progress:
-            while t > current:
-                out.append((current, (done_b - last_b) * 8 / interval_s / 1e9))
-                last_b = done_b
-                current += interval_s
-            done_b = b
-        return out
-
 
 class DfsioTask:
     """TestDFSIO write test running inside slave1's container."""

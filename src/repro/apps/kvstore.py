@@ -58,9 +58,8 @@ _kv_ids = itertools.count(1)
 SLOT_HEADER_BYTES = 32
 _HEADER = struct.Struct("<QQII8x")
 
-#: fingerprint sentinel values
+#: fingerprint of a never-written slot
 FP_EMPTY = 0
-FP_TOMBSTONE = (1 << 64) - 1
 
 _REQ = struct.Struct("<4sBHHI")  # magic, op, key_len, val_len, op_id
 _REP = struct.Struct("<4sIBII")  # magic, op_id, status, version, index
@@ -103,10 +102,12 @@ class KvTableLayout:
     @staticmethod
     def fingerprint(key: str) -> int:
         """64-bit key fingerprint; crc32-based so it is stable across
-        interpreter runs (``hash()`` is randomized) and never a sentinel."""
+        interpreter runs (``hash()`` is randomized) and never
+        :data:`FP_EMPTY`.  All-ones maps to 1 as well: every key's bucket,
+        and so every pinned digest, rests on this exact mapping."""
         raw = key.encode()
         fp = (zlib.crc32(b"kv-hi:" + raw) << 32) | zlib.crc32(b"kv-lo:" + raw)
-        if fp in (FP_EMPTY, FP_TOMBSTONE):
+        if fp in (FP_EMPTY, (1 << 64) - 1):
             fp = 1
         return fp
 
@@ -169,24 +170,17 @@ class KvTable:
         return _HEADER.unpack_from(raw)
 
     def find(self, key: str) -> Tuple[Optional[int], Optional[int]]:
-        """-> (index_holding_key, first_free_index); either may be None.
+        """-> (index_holding_key, first_free_index); at most one is set.
         Mirrors the client's probe walk exactly — the property suite pins
         this equivalence."""
         fp = self.layout.fingerprint(key)
-        first_free = None
         for index in self.layout.probe_sequence(key):
             _lock, slot_fp, _vlen, _version = self._read_header(index)
             if slot_fp == FP_EMPTY:
-                if first_free is None:
-                    first_free = index
-                return None, first_free
-            if slot_fp == FP_TOMBSTONE:
-                if first_free is None:
-                    first_free = index
-                continue
+                return None, index
             if slot_fp == fp:
-                return index, first_free
-        return None, first_free
+                return index, None
+        return None, None
 
     # -- mutation -------------------------------------------------------------
 
@@ -207,15 +201,6 @@ class KvTable:
         self.mem.write(off + SLOT_HEADER_BYTES, value)
         return index
 
-    def delete(self, key: str) -> bool:
-        index, _ = self.find(key)
-        if index is None:
-            return False
-        off = self.layout.slot_offset(index)
-        lock, _fp, _vlen, _version = self._read_header(index)
-        self.mem.write(off, self.layout.pack_slot(lock, FP_TOMBSTONE, 0, 0))
-        return True
-
     def get(self, key: str) -> Optional[Tuple[bytes, int]]:
         index, _ = self.find(key)
         if index is None:
@@ -223,28 +208,6 @@ class KvTable:
         raw = self.mem.read(self.layout.slot_offset(index), self.layout.slot_bytes)
         _lock, _fp, _vlen, version, value = self.layout.parse_slot(raw)
         return value, version
-
-    def entries(self) -> List[Tuple[str, bytes, int]]:
-        """Live (fingerprint-unresolvable) slots — resize support keeps a
-        side map of fingerprints to keys, so this yields raw slots."""
-        out = []
-        for index in range(self.layout.n_buckets):
-            _lock, fp, vlen, version = self._read_header(index)
-            if fp in (FP_EMPTY, FP_TOMBSTONE):
-                continue
-            off = self.layout.slot_offset(index)
-            value = self.mem.read(off + SLOT_HEADER_BYTES, vlen)
-            out.append((fp, value, version))
-        return out
-
-    def resize(self, n_buckets: int, keys_by_fp: Dict[int, str]) -> "KvTable":
-        """Rehash into a fresh table (tombstones dropped, versions kept).
-        ``keys_by_fp`` maps fingerprints back to keys — the server knows
-        its keys; the layout alone cannot invert a fingerprint."""
-        new = KvTable(KvTableLayout(n_buckets, self.layout.value_cap))
-        for fp, value, version in self.entries():
-            new.put(keys_by_fp[fp], value, version)
-        return new
 
 
 class BytesBacking:

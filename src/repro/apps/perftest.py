@@ -432,16 +432,6 @@ class PerftestEndpoint(BusyPoller):
             self.process.attach(self.server.sim.spawn(
                 self._receiver_loop(), name=f"{self.name}:rx"))
 
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-
-    def throughput_gbps(self, elapsed_s: float) -> float:
-        """Goodput over ``elapsed_s`` from the completed-bytes counter."""
-        if elapsed_s <= 0:
-            raise ValueError("elapsed time must be positive")
-        return self.stats.bytes_completed * 8 / elapsed_s / 1e9
-
 
 def run_pingpong(tb, a: "PerftestEndpoint", b: "PerftestEndpoint",
                  iters: int = 1000, msg_size: int = 8, gap_s: float = 0.0):

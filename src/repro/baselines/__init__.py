@@ -1,7 +1,9 @@
 """Baselines and comparison models.
 
-- :mod:`repro.baselines.no_presetup` — MigrRDMA without RDMA pre-setup
-  (the paper's own comparison workflow, §4),
+The paper's own comparison workflow, MigrRDMA without RDMA pre-setup
+(§4), is ``LiveMigration(..., presetup=False)``; this package holds the
+models of other systems:
+
 - :mod:`repro.baselines.migros` — a model of MigrOS (hardware-extension
   approach) for the §6 stop-and-copy comparison,
 - :mod:`repro.baselines.keytables` — LubeRDMA linked-list and
@@ -9,7 +11,6 @@
   comparisons.
 """
 
-from repro.baselines.no_presetup import migrate_without_presetup
 from repro.baselines.migros import MigrOsModel
 from repro.baselines.keytables import (
     FreeFlowCostModel,
@@ -22,5 +23,4 @@ __all__ = [
     "LubeRdmaKeyTable",
     "MigrOsModel",
     "MigrRdmaKeyTable",
-    "migrate_without_presetup",
 ]

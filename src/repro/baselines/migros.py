@@ -22,33 +22,20 @@ manipulation costs on real NICs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.config import Config
 from repro.core.orchestrator import MigrationReport
 
-
-@dataclass
-class MigrOsCosts:
-    """Per-QP hardware state-manipulation costs MigrOS adds."""
-
-    qp_stop_s: float = 350e-6  # modify-to-STOP, one firmware command
-    extract_qp_state_s: float = 120e-6  # query full QP context + ring state
-    inject_qp_state_s: float = 180e-6  # write context into the new NIC
-    per_mr_reregister_s: float = 0.0  # MRs re-registered either way
+#: Per-QP hardware state-manipulation costs MigrOS adds.
+QP_STOP_S = 350e-6  # modify-to-STOP, one firmware command
+EXTRACT_QP_STATE_S = 120e-6  # query full QP context + ring state
+INJECT_QP_STATE_S = 180e-6  # write context into the new NIC
 
 
 class MigrOsModel:
     """Analytic MigrOS blackout built on top of a measured MigrRDMA run."""
 
-    def __init__(self, config: Config, costs: MigrOsCosts = None):
-        self.config = config
-        self.costs = costs or MigrOsCosts()
-
     def extra_stop_and_copy_s(self, num_qps: int) -> float:
         """The state get/set work MigrRDMA does not have to do."""
-        c = self.costs
-        return num_qps * (c.qp_stop_s + c.extract_qp_state_s + c.inject_qp_state_s)
+        return num_qps * (QP_STOP_S + EXTRACT_QP_STATE_S + INJECT_QP_STATE_S)
 
     def blackout_from_migrrdma(self, report: MigrationReport, num_qps: int) -> float:
         """Predicted MigrOS service blackout for the same migration.

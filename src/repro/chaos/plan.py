@@ -7,7 +7,8 @@ Installing it on a testbed attaches thin hook objects at three layers:
   consulted for every in-flight message and may drop, duplicate, reorder
   (deliver with extra jitter) or delay it, scoped per link
   (``src``/``dst``), per protocol (``"rdma"``, ``"tcp"`` prefix, ...) and
-  per simulated-time window, and uninstalled by ``Network.reset_faults``,
+  per simulated-time window.  A plan stays installed for the life of its
+  network: every scenario builds a fresh bed, so no chaos state leaks,
 - **RNIC** — ``RNIC.chaos`` can suppress RECV consumption during a window
   (an RNR NAK storm: every arriving SEND is NAKed and backed off), stretch
   CQE delivery (CQ pressure, with a monotonic clamp so stretched batches
@@ -382,7 +383,6 @@ class FaultPlan:
         self.uplink_degrades: List[UplinkDegrade] = []
         self.partitions: List[Partition] = []
         self.scheduler_crashes: List[SchedulerCrash] = []
-        self._degraded_ports: List = []
         self._crashes_fired: set = set()
         self._scheduler_crashes_fired: set = set()
         self.abort_boundary: Optional[str] = None
@@ -474,7 +474,7 @@ class FaultPlan:
         invariant checkers relax the clean-status requirement for them."""
         return bool(self.qp_errors)
 
-    # -- install / uninstall ----------------------------------------------
+    # -- install ----------------------------------------------------------
 
     def install(self, tb) -> "FaultPlan":
         """Attach to a :class:`~repro.cluster.Testbed` (or a bare
@@ -528,27 +528,8 @@ class FaultPlan:
                 for degrade in degrades:
                     port.stretch(degrade.start_s, degrade.end_s, degrade.factor,
                                  self._note_uplink_slowdown)
-                self._degraded_ports.append(port)
         self._installed_tb = tb
         return self
-
-    def uninstall(self) -> None:
-        """Detach every hook this plan installed (idempotent)."""
-        tb = self._installed_tb
-        if tb is None:
-            return
-        network = tb.network if hasattr(tb, "network") else tb
-        injector = network.fault_injector
-        if isinstance(injector, _FabricInjector) and injector.plan is self:
-            network.fault_injector = None
-        for server in getattr(tb, "servers", []):
-            chaos = server.rnic.chaos
-            if isinstance(chaos, _RnicChaos) and chaos.plan is self:
-                server.rnic.chaos = None
-        for port in self._degraded_ports:
-            port.unstretch(self._note_uplink_slowdown)
-        self._degraded_ports.clear()
-        self._installed_tb = None
 
     def _note_uplink_slowdown(self) -> None:
         """Tally of the degraded trunks' stretch windows: one per

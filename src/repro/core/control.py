@@ -77,10 +77,6 @@ class ControlPlane:
     def register(self, server_name: str, op: str, handler: Callable[[dict], object]) -> None:
         self._services.setdefault(server_name, {})[op] = handler
 
-    def supports_migrrdma(self, server_name: str) -> bool:
-        """Negotiation probe (§6, hybrid case)."""
-        return server_name in self._services
-
     # -- daemon liveness ----------------------------------------------------
 
     def mark_daemon_down(self, server_name: str) -> None:

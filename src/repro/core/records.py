@@ -121,7 +121,3 @@ class ResourceLog:
 
     def snapshot(self) -> List[ResourceRecord]:
         return [r.clone() for r in self._records.values()]
-
-    @property
-    def dump_bytes(self) -> int:
-        return len(self._records) * RECORD_BYTES

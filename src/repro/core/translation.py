@@ -28,25 +28,15 @@ from repro.config import QPN_SPACE
 
 
 class QpnTable:
-    """Physical→virtual QPN translation (one table per RNIC/server).
-
-    A maintained virtual→physical reverse index keeps the restore-time
-    lookup O(1); at 256+ QPs the old full-table scan per restored QP made
-    table rebuild cost quadratic in fan-out.
-    """
+    """Physical→virtual QPN translation (one table per RNIC/server)."""
 
     def __init__(self):
         self._table: Dict[int, int] = {}
-        self._by_virtual: Dict[int, int] = {}
 
     def set(self, physical: int, virtual: int) -> None:
         if not 0 <= physical < QPN_SPACE:
             raise ValueError(f"physical QPN {physical:#x} outside 24-bit space")
-        old = self._table.get(physical)
-        if old is not None and self._by_virtual.get(old) == physical:
-            del self._by_virtual[old]
         self._table[physical] = virtual
-        self._by_virtual[virtual] = physical
 
     def lookup(self, physical: int) -> int:
         try:
@@ -58,22 +48,7 @@ class QpnTable:
         return self._table.get(physical, physical)
 
     def delete(self, physical: int) -> None:
-        virtual = self._table.pop(physical, None)
-        if virtual is not None and self._by_virtual.get(virtual) == physical:
-            del self._by_virtual[virtual]
-
-    def physical_for_virtual(self, virtual: int) -> int:
-        """Reverse lookup (control path: used at restore time)."""
-        physical = self._by_virtual.get(virtual)
-        if physical is not None:
-            return physical
-        # A deleted mapping may have shadowed an older physical for the
-        # same virtual QPN; fall back to the scan and repair the index.
-        for physical, v in self._table.items():
-            if v == virtual:
-                self._by_virtual[virtual] = physical
-                return physical
-        raise LookupError(f"no physical QPN maps to virtual {virtual:#x}")
+        self._table.pop(physical, None)
 
     def entries(self) -> List[Tuple[int, int]]:
         return list(self._table.items())

@@ -103,11 +103,6 @@ class Network:
         except KeyError:
             raise LookupError(f"unknown node {name!r}") from None
 
-    def reset_faults(self) -> None:
-        """Uninstall the fault injector.  Scenario teardown calls this so
-        chaos state cannot leak between tests."""
-        self.fault_injector = None
-
     def transmit(self, message: Message) -> None:
         """Queue ``message`` on its source node's port; at wire-done it
         takes the switch step, :meth:`transmit_raw`.  Both ends are

@@ -73,9 +73,6 @@ class Port:
         """The stretch windows that may still apply."""
         return tuple(self._stretches)
 
-    def serialization_time(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / self.rate_bps
-
     # -- contention ------------------------------------------------------
 
     def stretch(self, start_s: float, end_s: float, factor: float,
@@ -97,11 +94,6 @@ class Port:
         windows.append(window)
         self._stretches = windows
         self._stretch_until = max(self._stretch_until, end_s)
-
-    def unstretch(self, tally: Callable[[], None]) -> None:
-        """Close every window opened with ``tally``."""
-        self._stretches = [w for w in self._stretches if w[3] != tally]
-        self._stretch_until = max((w[1] for w in self._stretches), default=-1.0)
 
     def _stretch_factor(self, now: float) -> float:
         factor = 1.0

@@ -151,10 +151,6 @@ class TcpChannel:
         yield self.sim.timeout(self.rtt_s / 2)  # final ack propagation
         return self.sim.now - started
 
-    def transfer_time_estimate(self, nbytes: int) -> float:
-        """Loss-free analytic transfer time (used by planners, not results)."""
-        return self.per_message_overhead_s + nbytes * 8.0 / self.rate_bps + self.rtt_s
-
     # -- RPC -------------------------------------------------------------------
 
     def set_rpc_handler(self, handler: Callable[[Any], Tuple[Any, int]]) -> None:

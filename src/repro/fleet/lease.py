@@ -19,8 +19,9 @@ Three rules, enforced mechanically:
   window, open the destination's at epoch+1);
 - a **source that loses the lease must stop serving** — once the
   transfer lands, the source host is *fenced* for that container:
-  :meth:`LeaseTable.fenced` answers True forever after, and the
-  scheduler refuses fenced hosts as destinations (stale partial state);
+  :meth:`LeaseTable.fenced` answers True until a reservation re-admits
+  it, and the scheduler refuses fenced hosts as destinations (stale
+  partial state);
 - a **rerouted attempt releases its old reservation** — the supervisor
   rotating to an alternate destination drops the previous destination's
   pending reservation, so no epoch is ever promised to two hosts.
@@ -80,12 +81,12 @@ class LeaseTable:
         #: promised the next epoch to this destination
         self._reservations: Dict[str, Tuple[str, int]] = {}
         #: container -> hosts that once held (or reserved) the container
-        #: and were revoked — never eligible as destinations again without
-        #: an explicit unfence (stale partial state may linger there)
+        #: and were revoked — not eligible as destinations again until a
+        #: reservation re-admits them (stale partial state may linger there)
         self._fenced: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
-    # grant / renew / release
+    # grant / release
 
     def grant(self, container: str, holder: str, now: float,
               ttl_s: float = math.inf) -> Lease:
@@ -105,15 +106,6 @@ class LeaseTable:
         lease = Lease(container=container, holder=holder, epoch=epoch,
                       granted_s=now, expires_s=now + ttl_s)
         self._current[container] = lease
-        return lease
-
-    def renew(self, container: str, holder: str, now: float,
-              ttl_s: float = math.inf) -> Lease:
-        lease = self._require(container)
-        if lease.holder != holder:
-            raise LeaseError(f"{holder!r} cannot renew {container!r}: "
-                             f"lease is held by {lease.holder!r}")
-        lease.expires_s = now + ttl_s
         return lease
 
     def release(self, container: str, holder: str, now: float) -> None:
@@ -163,9 +155,9 @@ class LeaseTable:
             self._fenced.setdefault(container, set()).add(host)
 
     def fence(self, container: str, host: str) -> None:
-        """Bar ``host`` from serving or receiving ``container`` until an
-        explicit :meth:`unfence` (operator mark, or a control plane that
-        observed stale state there)."""
+        """Bar ``host`` from serving or receiving ``container`` until a
+        :meth:`reserve` re-admits it (operator mark, or a control plane
+        that observed stale state there)."""
         self._fenced.setdefault(container, set()).add(host)
 
     def transfer(self, container: str, dest: str, now: float,
@@ -215,7 +207,7 @@ class LeaseTable:
     def fenced(self, container: str, host: str, now: float) -> bool:
         """May ``host`` serve (or receive) ``container``?  True means NO:
         the host was revoked for this container, or holds a lease that
-        has expired without renewal (a source cut off by a partition)."""
+        has expired (a source cut off by a partition)."""
         if host in self._fenced.get(container, ()):
             return True
         lease = self._current.get(container)
@@ -223,10 +215,6 @@ class LeaseTable:
                 and not lease.valid(now):
             return True
         return False
-
-    def unfence(self, container: str, host: str) -> None:
-        """Operator override: re-admit a fenced host (stale state purged)."""
-        self._fenced.get(container, set()).discard(host)
 
     def leases(self, container: str) -> List[Lease]:
         """Full window chain for one container, in grant order."""

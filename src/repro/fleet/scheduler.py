@@ -226,13 +226,9 @@ class MigrationScheduler:
 
     def _dest_admissible(self, active, dest: str, source: str,
                          container: Optional[str] = None) -> bool:
-        # Health gates first: never send a container to a host the
-        # control plane distrusts (operator/partition suspect mark), to a
-        # host whose daemon is known down, or to a host that is
-        # lease-fenced for this container (a revoked former holder may
-        # hold stale partial state).
-        if dest in self.state.suspected:
-            return False
+        # Health gates first: never send a container to a host whose
+        # daemon is known down, or to a host that is lease-fenced for this
+        # container (a revoked former holder may hold stale partial state).
         if self.world.control.daemon_down(dest):
             return False
         if container is not None \

@@ -36,7 +36,7 @@ class HostInfo:
 
 @dataclass
 class ContainerInfo:
-    """Resource demand record for one container."""
+    """One container's demand on its host (QPs, memory)."""
 
     name: str
     qps: int = 1
@@ -55,10 +55,6 @@ class FleetState:
         #: tracked container's placement is backed by a lease here, and
         #: migrations hand placements over via fenced epoch transfers
         self.leases = LeaseTable()
-        #: hosts the control plane currently distrusts (force-marked by
-        #: an operator or a partition report); never picked as
-        #: destinations until the mark clears
-        self.suspected: Set[str] = set()
 
     # ------------------------------------------------------------------
     # registration
@@ -142,15 +138,6 @@ class FleetState:
     def mark_draining(self, host: str) -> None:
         self._require_host(host)
         self.draining.add(host)
-
-    def clear_draining(self, host: str) -> None:
-        self.draining.discard(host)
-
-    def suspect(self, host: str) -> None:
-        """Distrust ``host`` (operator mark / partition report): the
-        scheduler will not choose it as a destination until cleared."""
-        self._require_host(host)
-        self.suspected.add(host)
 
     def fits(self, host: str, container: str) -> bool:
         """Would placing ``container`` on ``host`` respect its quotas?

@@ -97,14 +97,6 @@ class RestoreSession:
         #: scratch area for plugins (MigrRDMA stashes its restore state here)
         self.plugin_state: dict = {}
 
-    def restorer_range(self, pid: int) -> Tuple[int, int]:
-        start = self.restorer_at[pid]
-        return start, start + RESTORER_BYTES
-
-    def conflicts_with_restorer(self, pid: int, addr: int, length: int) -> bool:
-        start, end = self.restorer_range(pid)
-        return addr < end and start < addr + length
-
     def process_for(self, pid: int) -> AppProcess:
         return self.processes[pid]
 

@@ -76,12 +76,6 @@ class ContainerImage:
     def size_bytes(self) -> int:
         return sum(p.size_bytes for p in self.processes) + self.rdma_bytes
 
-    def process_image(self, pid: int) -> ProcessImage:
-        for image in self.processes:
-            if image.pid == pid:
-                return image
-        raise LookupError(f"no process image for pid {pid}")
-
     def merge(self, newer: "ContainerImage") -> None:
         by_pid = {p.pid: p for p in self.processes}
         for image in newer.processes:

@@ -175,16 +175,6 @@ class Histogram:
             return data[lo]
         return data[lo] + (data[lo + 1] - data[lo]) * frac
 
-    def summary(self) -> Dict[str, float]:
-        if not self._sorted:
-            return {"count": 0}
-        return {
-            "count": self.count, "sum": self.sum, "min": self.min,
-            "max": self.max, "mean": self.mean,
-            "p50": self.percentile(50), "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count}>"
 

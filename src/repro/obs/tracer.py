@@ -183,10 +183,6 @@ class Tracer:
         self.sim.tracer = self
         return self
 
-    def detach(self) -> None:
-        if getattr(self.sim, "tracer", None) is self:
-            self.sim.tracer = None
-
     # -- clock ----------------------------------------------------------
 
     def _now_us(self) -> float:
@@ -242,14 +238,6 @@ class Tracer:
         if not self.enabled:
             return
         self._events.append((_INSTANT, lane, name, self._now_us(), args))
-
-    def counter(self, lane: Lane, name: str, series: Dict[str, float],
-                ts_us: Optional[float] = None) -> None:
-        """One sample of a counter track (stacked series in Perfetto)."""
-        if not self.enabled:
-            return
-        self._events.append((_COUNTER, lane, name,
-                             self._now_us() if ts_us is None else ts_us, series))
 
     # -- kernel hook -----------------------------------------------------
 

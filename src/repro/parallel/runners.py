@@ -102,10 +102,9 @@ def migration_run(num_qps: int, migrate: str, presetup: bool,
 def migros_run(num_qps: int) -> Dict[str, object]:
     """One row of the §6 MigrRDMA-vs-MigrOS comparison table."""
     from repro.baselines import MigrOsModel
-    from repro.config import default_config
 
     bed = _ready_bed(num_qps=num_qps)
-    row = MigrOsModel(default_config()).compare(bed.run_migration(), num_qps)
+    row = MigrOsModel().compare(bed.run_migration(), num_qps)
     row["sim_now"] = bed.sim.now
     row["events_processed"] = bed.sim.events_processed
     return row

@@ -54,9 +54,6 @@ class FailureDetector:
         self.suspicions: Dict[str, int] = {p: 0 for p in self.peers}
         #: suspected → healthy transitions (a flapping daemon)
         self.flaps: Dict[str, int] = {p: 0 for p in self.peers}
-        #: explicit reasons for suspicions that did not come from
-        #: heartbeat ticks (:meth:`force_suspect`)
-        self.forced: Dict[str, str] = {}
         self.running = False
         self._entry = None
         self._folded = False
@@ -101,29 +98,8 @@ class FailureDetector:
                 self.misses[peer] = 0
                 if peer in self.suspected:
                     self.suspected.discard(peer)
-                    self.forced.pop(peer, None)
                     self.flaps[peer] += 1
         self._entry = self.sim.schedule(self.interval_s, self._tick)
-
-    def force_suspect(self, peer: str, reason: str) -> None:
-        """Mark ``peer`` suspected immediately, bypassing the heartbeat
-        count — the control plane knows something the probes have not
-        seen yet (an administrative down-mark, a lease revocation, a
-        partition report).  The suspicion clears like any other when a
-        probe succeeds, and :meth:`check` reports the explicit reason
-        instead of a bogus "missed 0 heartbeats".
-        """
-        if peer not in self.misses:
-            self.peers.append(peer)
-            self.misses[peer] = 0
-            self.misses_total.setdefault(peer, 0)
-            self.suspicions.setdefault(peer, 0)
-            self.flaps.setdefault(peer, 0)
-        self.forced[peer] = reason
-        if peer not in self.suspected:
-            self.suspected.add(peer)
-            self.suspicions[peer] += 1
-            self.total_suspicions += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -131,26 +107,13 @@ class FailureDetector:
         return peer in self.suspected
 
     def check(self, peer: Optional[str] = None) -> None:
-        """Raise :class:`PeerCrashed` if ``peer`` (or, with no argument,
-        any tracked peer) is currently suspected.  Synchronous: costs no
-        simulated time."""
-        if peer is not None:
-            if peer in self.suspected:
-                raise self._crashed(peer)
-            return
-        for p in self.peers:
+        """Raise :class:`PeerCrashed`, with the consecutive-miss count
+        that tripped it (at least ``miss_threshold``), if ``peer`` (or,
+        with no argument, any tracked peer) is currently suspected.
+        Synchronous: costs no simulated time."""
+        for p in self.peers if peer is None else (peer,):
             if p in self.suspected:
-                raise self._crashed(p)
-
-    def _crashed(self, peer: str) -> PeerCrashed:
-        """Build a :class:`PeerCrashed` that carries the real miss count,
-        or an explicit reason when the suspicion never went through the
-        heartbeat path (so it can never report "missed 0 heartbeats")."""
-        misses = self.misses.get(peer, 0)
-        reason = self.forced.get(peer)
-        if reason is None and misses == 0:
-            reason = "force-marked down before any heartbeat interval elapsed"
-        return PeerCrashed(peer, misses, reason=reason)
+                raise PeerCrashed(p, self.misses[p])
 
     def poll_interval(self, deadline_s: float,
                       failure: Optional[MigrationError] = None,

@@ -44,10 +44,8 @@ class PeerCrashed(MigrationError):
     """The failure detector's lease on a peer daemon expired.
 
     Carries either the real consecutive-miss count that tripped the
-    detector or, for suspicions that did not come from heartbeat ticks
-    (force-marked peers, expired wait deadlines), an explicit ``reason``
-    — never the misleading "missed 0 heartbeats" a force-marked peer
-    used to report.
+    detector or, for a failure that did not come from heartbeat ticks (an
+    expired wait deadline), an explicit ``reason``.
     """
 
     def __init__(self, peer: str, misses: int = 0,

@@ -14,7 +14,7 @@ class RnicError(Exception):
 
 
 class ResourceError(RnicError):
-    """Resource exhaustion or lookup failure (QPs, keys, device memory)."""
+    """Exhausted or unknown resource (QPs, keys, device memory)."""
 
 
 class QPStateError(RnicError):

@@ -179,11 +179,6 @@ class QP:
         """WRs posted but not yet completed (pending + on the wire)."""
         return self.sq_posted - self.sq_completed
 
-    @property
-    def recv_outstanding(self) -> int:
-        """RECV WRs posted to this QP's own RQ and not yet consumed."""
-        return len(self.rq)
-
     def __repr__(self) -> str:
         return (
             f"<QP {self.qpn:#x} {self.qp_type.value} {self.state.value} "

@@ -5,8 +5,8 @@ rest of the reproduction runs on: a :class:`~repro.sim.core.Simulator` with a
 time-ordered event queue, generator-based :class:`~repro.sim.core.Process`
 coroutines, one-shot :class:`~repro.sim.core.Event` objects, timeouts, and
 the usual combinators (:class:`~repro.sim.core.AllOf`,
-:class:`~repro.sim.core.AnyOf`).  :mod:`repro.sim.sync` adds FIFO queues and
-broadcast signals used by the fabric and RNIC models.
+:class:`~repro.sim.core.AnyOf`).  :mod:`repro.sim.sync` adds the broadcast
+signal the indirection layer and wait-before-stop use.
 
 The kernel is intentionally SimPy-like so readers familiar with that API can
 follow the models, but it is implemented from scratch and carries only what
@@ -23,7 +23,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.sync import Broadcast, Queue, Resource
+from repro.sim.sync import Broadcast
 
 __all__ = [
     "AllOf",
@@ -32,8 +32,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "Queue",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Timeout",

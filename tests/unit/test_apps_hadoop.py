@@ -32,14 +32,6 @@ class TestTaskResult:
         with pytest.raises(ValueError):
             TaskResult().aggregate_tput_gbps()
 
-    def test_interval_resampling(self):
-        result = TaskResult()
-        for i in range(10):
-            result.progress.append((i * 0.1, (i + 1) * 125_000_000))
-        series = result.interval_tput_gbps(interval_s=0.2)
-        assert len(series) >= 3
-        assert all(v > 0 for _, v in series)
-
 
 class TestDfsio:
     def test_completes_and_moves_bytes(self, hadoop):

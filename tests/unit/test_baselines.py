@@ -9,19 +9,18 @@ from repro.baselines import (
     MigrRdmaKeyTable,
 )
 from repro.baselines.keytables import hot_cold_access_pattern, uniform_access_pattern
-from repro.config import default_config
 from repro.core.orchestrator import MigrationReport
 
 
 class TestMigrOsModel:
     def test_extra_cost_scales_with_qps(self):
-        model = MigrOsModel(default_config())
+        model = MigrOsModel()
         assert model.extra_stop_and_copy_s(100) == pytest.approx(
             10 * model.extra_stop_and_copy_s(10))
 
     def test_migros_blackout_longer(self):
         """§6's conclusion: MigrOS blackout > MigrRDMA blackout."""
-        model = MigrOsModel(default_config())
+        model = MigrOsModel()
         report = MigrationReport()
         report.t_freeze, report.t_resume = 0.0, 0.150
         report.t_suspend = -0.05
@@ -30,7 +29,7 @@ class TestMigrOsModel:
         assert comparison["migros_slowdown"] > 1.0
 
     def test_extra_grows_into_dominance(self):
-        model = MigrOsModel(default_config())
+        model = MigrOsModel()
         report = MigrationReport()
         report.t_freeze, report.t_resume = 0.0, 0.150
         small = model.compare(report, 16)["migros_slowdown"]

@@ -138,14 +138,15 @@ class TestFaultPlanLifecycle:
             FaultPlan(seed=2).install(net)
 
     def test_uninstall_is_idempotent_and_identity_checked(self, net):
+        # A plan stays installed for its network's life (every scenario
+        # builds a fresh bed); a refused second plan must leave the first
+        # plan's injector in place.
         first = FaultPlan(seed=1).install(net)
-        first.uninstall()
-        assert net.fault_injector is None
-        first.uninstall()  # idempotent
-        second = FaultPlan(seed=2).install(net)
-        first.uninstall()  # someone else's injector: must not remove it
-        assert net.fault_injector is not None
-        assert net.fault_injector.plan is second
+        assert first.testbed is net
+        assert net.fault_injector.plan is first
+        with pytest.raises(RuntimeError):
+            FaultPlan(seed=2).install(net)
+        assert net.fault_injector.plan is first
 
     def test_abort_at_unknown_boundary_rejected(self):
         with pytest.raises(ValueError, match="unknown phase boundary"):

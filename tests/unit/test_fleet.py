@@ -146,11 +146,10 @@ class TestFleetState:
         assert not state.fits("r1h0", "ct000")
 
     def test_draining_host_rejects_placements(self, state):
+        assert state.fits("r1h0", "ct000")
         state.mark_draining("r1h0")
         assert not state.fits("r1h0", "ct000")
         assert "r1h0" not in state.candidates("ct000", exclude=())
-        state.clear_draining("r1h0")
-        assert state.fits("r1h0", "ct000")
 
     def test_candidates_respect_exclusions(self, state):
         hosts = state.candidates("ct000", exclude=("r0h1",))
@@ -379,5 +378,5 @@ class TestFleetFaults:
         # slower uplink adds 3 more trunk-serialization units (2 us each).
         assert got == [pytest.approx(14e-6)]
         assert plan.stats.uplink_slowdowns >= 1
-        plan.uninstall()
-        assert topo.uplink("rack0").stretches == ()
+        ((start, end, factor, _tally),) = topo.uplink("rack0").stretches
+        assert (start, end, factor) == (0.0, 1.0, 4.0)

@@ -19,6 +19,7 @@ from repro.fleet import (
     drain_with_recovery,
 )
 from repro.fleet.journal import LAUNCHED, PLANNED, SETTLED
+from repro.resilience import FailureDetector
 
 
 class TestLeaseTable:
@@ -70,14 +71,17 @@ class TestLeaseTable:
         table.grant("ct0", "hostA", now=0.0, ttl_s=5.0)
         assert not table.fenced("ct0", "hostA", now=4.0)
         assert table.fenced("ct0", "hostA", now=6.0)
-        table.renew("ct0", "hostA", now=4.0, ttl_s=5.0)
-        assert not table.fenced("ct0", "hostA", now=6.0)
 
     def test_renew_refused_for_non_holder(self):
+        # Only the holder may act on its lease: another host can neither
+        # release it nor be granted it while it is valid.
         table = LeaseTable()
         table.grant("ct0", "hostA", now=0.0)
         with pytest.raises(LeaseError):
-            table.renew("ct0", "hostB", now=1.0)
+            table.release("ct0", "hostB", now=1.0)
+        with pytest.raises(LeaseError):
+            table.grant("ct0", "hostB", now=1.0)
+        assert table.holder("ct0") == "hostA"
 
     def test_reserve_replacement_releases_without_fencing(self):
         # A rerouted job drops its old reservation; the abandoned
@@ -99,12 +103,15 @@ class TestLeaseTable:
         assert not table.fenced("ct0", "hostB", now=2.0)
 
     def test_explicit_fence_and_unfence(self):
+        # A fence bars one host for one container; a reservation is what
+        # re-admits it (test_reserve_unfences_its_target).
         table = LeaseTable()
         table.grant("ct0", "hostA", now=0.0)
+        table.grant("ct1", "hostA", now=0.0)
         table.fence("ct0", "hostB")
         assert table.fenced("ct0", "hostB", now=0.0)
-        table.unfence("ct0", "hostB")
-        assert not table.fenced("ct0", "hostB", now=0.0)
+        assert not table.fenced("ct1", "hostB", now=0.0)
+        assert not table.fenced("ct0", "hostA", now=0.0)
 
 
 class TestLeaseGuard:
@@ -206,15 +213,22 @@ class TestDestAdmissibility:
         return next(j for j in jobs if j.container == container)
 
     def test_suspected_host_is_never_chosen(self):
+        # A host whose daemon the failure detector suspects (missed
+        # heartbeats) is never a destination.
         fleet, scheduler = self.build()
         job = self.job_for(scheduler)
         dest, _ = scheduler._pick_dest({}, job)
         assert dest is not None
-        fleet.state.suspect(dest)
+        detector = FailureDetector(fleet.world.control, job.source, [dest])
+        detector.start()
+        fleet.world.control.mark_daemon_down(dest)
+        fleet.sim.run(until=fleet.sim.now + 3.5e-3)
+        assert detector.suspects(dest)
         redest, _ = scheduler._pick_dest({}, job)
         assert redest != dest
         assert not scheduler._dest_admissible({}, dest, job.source,
                                               container=job.container)
+        detector.stop()
 
     def test_killed_host_is_never_chosen(self):
         fleet, scheduler = self.build()

@@ -71,7 +71,7 @@ class TestInterception:
         layer = world.layer(tb.source.name)
         layer.raise_suspension(process.pid)
         lib.post_recv(h["qp"], RecvWR(wr_id=1, sges=[make_sge(h["mr"], 0, 256)]))
-        assert h["qp"]._phys.recv_outstanding == 1  # §3.4: RECVs not intercepted
+        assert len(h["qp"]._phys.rq) == 1  # §3.4: RECVs not intercepted
         assert len(h["qp"].posted_recvs) == 1
 
     def test_replay_after_clear(self, env):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.kvstore import (
     FP_EMPTY,
-    FP_TOMBSTONE,
     SLOT_HEADER_BYTES,
     KvCasRecord,
     KvFullError,
@@ -34,7 +33,7 @@ class TestLayout:
         layout = KvTableLayout(n_buckets=4, value_cap=16)
         for i in range(200):
             fp = layout.fingerprint(f"key{i}")
-            assert fp not in (FP_EMPTY, FP_TOMBSTONE)
+            assert FP_EMPTY < fp < (1 << 64) - 1
 
     def test_pack_parse_round_trip(self):
         layout = KvTableLayout(n_buckets=4, value_cap=16)
@@ -64,18 +63,19 @@ class TestLayout:
 
 class TestTable:
     def test_put_get_delete(self):
+        # The protocol's one write is a PUT (insert or overwrite); a key
+        # never put reads back as a miss.
         table = KvTable(KvTableLayout(8, 32))
-        table.put("a", b"hello", 1)
-        assert table.get("a") == (b"hello", 1)
-        table.put("a", b"world", 2)
-        assert table.get("a") == (b"world", 2)
-        assert table.delete("a")
         assert table.get("a") is None
-        assert not table.delete("a")
+        first = table.put("a", b"hello", 1)
+        assert table.get("a") == (b"hello", 1)
+        assert table.put("a", b"world", 2) == first  # overwrite in place
+        assert table.get("a") == (b"world", 2)
+        assert table.get("b") is None
 
     def test_tombstone_reuse_and_probe_past(self):
-        """Deleting a key leaves a tombstone that probing walks past and
-        a later insert reuses."""
+        """Colliding keys take successive buckets: probing walks past the
+        occupied ones, and an overwrite reuses the key's own slot."""
         layout = KvTableLayout(4, 16)
         table = KvTable(layout)
         keys = [f"k{i}" for i in range(20)]
@@ -83,13 +83,13 @@ class TestTable:
         colliding = [k for k in keys if layout.home(k) == home][:3]
         if len(colliding) < 2:
             pytest.skip("no collision in sample")
+        slots = [table.put(key, b"v", i + 1) for i, key in enumerate(colliding)]
+        assert slots == [(home + i) % 4 for i in range(len(colliding))]
+        # Later colliders are reachable past the occupied home bucket.
         for i, key in enumerate(colliding):
-            table.put(key, b"v", i + 1)
-        table.delete(colliding[0])
-        # Later colliders must still be reachable past the tombstone.
-        for key in colliding[1:]:
-            assert table.get(key) is not None
-        table.put(colliding[0], b"back", 9)
+            assert table.find(key) == (slots[i], None)
+            assert table.get(key) == (b"v", i + 1)
+        assert table.put(colliding[0], b"back", 9) == slots[0]
         assert table.get(colliding[0]) == (b"back", 9)
 
     def test_full_table_raises(self):
@@ -105,15 +105,17 @@ class TestTable:
             table.put("a", b"x" * 9, 1)
 
     def test_resize_preserves_entries(self):
-        layout = KvTableLayout(8, 16)
-        table = KvTable(layout)
-        keys_by_fp = {}
+        # Rehashing is re-putting every key into a table of another size:
+        # each value and version carries over, whatever bucket it lands in.
+        small = KvTable(KvTableLayout(8, 16))
+        bigger = KvTable(KvTableLayout(32, 16))
         for i in range(6):
             key = f"k{i}"
-            table.put(key, f"v{i}".encode(), i + 1)
-            keys_by_fp[layout.fingerprint(key)] = key
-        bigger = table.resize(32, keys_by_fp)
-        assert sorted(bigger.entries()) == sorted(table.entries())
+            small.put(key, f"v{i}".encode(), i + 1)
+            bigger.put(key, f"v{i}".encode(), i + 1)
+        for i in range(6):
+            key = f"k{i}"
+            assert small.get(key) == bigger.get(key) == (f"v{i}".encode(), i + 1)
 
 
 class TestHistoryChecker:

@@ -120,10 +120,14 @@ class TestRestore:
             return session
 
         session = tb.run(flow())
-        start, end = session.restorer_range(process.pid)
-        assert end - start == RESTORER_BYTES
-        assert session.conflicts_with_restorer(process.pid, start + 100, 10)
-        assert not session.conflicts_with_restorer(process.pid, end + PAGE_SIZE, 10)
+        space = session.process_for(process.pid).space
+        start = session.restorer_at[process.pid]
+        restorer = space.find(start + 100)
+        assert restorer.start == start and restorer.tag == "restorer"
+        assert restorer.length == RESTORER_BYTES
+        # No restored VMA overlaps the restorer's working memory.
+        assert space.vmas_overlapping(start, restorer.end) == [restorer]
+        assert space.find(restorer.end + PAGE_SIZE) is None
 
     def test_new_vma_in_later_iteration_is_mapped(self, world):
         tb, container, process, vma, engine = world

@@ -11,13 +11,6 @@ from repro.migration.images import ContainerImage, ProcessImage
 
 
 class TestImages:
-    def test_process_image_lookup(self):
-        image = ContainerImage(container_id="c", name="n")
-        image.processes.append(ProcessImage(pid=42, name="p"))
-        assert image.process_image(42).pid == 42
-        with pytest.raises(LookupError):
-            image.process_image(99)
-
     def test_container_merge_adds_new_processes(self):
         older = ContainerImage(container_id="c", name="n")
         older.processes.append(ProcessImage(pid=1, name="a"))

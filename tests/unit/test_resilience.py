@@ -174,49 +174,63 @@ class TestFailureDetector:
         detector.stop()
 
     def test_force_suspect_reports_reason_not_zero_misses(self):
-        # The regression: a peer force-marked down before any heartbeat
-        # interval elapsed used to raise "missed 0 heartbeats".
+        # The regression: a suspicion used to be able to raise "missed 0
+        # heartbeats".  Every suspicion now comes from heartbeat ticks, so
+        # even the earliest one reports the threshold's misses.
         tb, world, detector = self.build()
         detector.start()
-        detector.force_suspect("dst", "host-kill fault marked the daemon down")
+        world.control.mark_daemon_down("dst")
+        tb.sim.run(until=3.5e-3)  # exactly miss_threshold ticks
         assert detector.suspects("dst")
         with pytest.raises(PeerCrashed) as excinfo:
             detector.check("dst")
-        assert excinfo.value.misses == 0
-        assert excinfo.value.reason == ("host-kill fault marked the "
-                                        "daemon down")
-        assert "missed 0" not in str(excinfo.value)
-        assert "host-kill fault" in str(excinfo.value)
+        assert excinfo.value.misses == detector.miss_threshold == 3
+        assert excinfo.value.reason is None
+        assert "missed 3 heartbeats" in str(excinfo.value)
         detector.stop()
 
     def test_zero_miss_suspicion_gets_fallback_reason(self):
-        # Even without force_suspect's explicit reason, a suspicion with no
-        # recorded misses must explain itself instead of "missed 0".
+        # The one PeerCrashed that no heartbeat tick raises — a status
+        # poll past its deadline with no more specific failure — explains
+        # itself instead of reporting a miss count.
         tb, world, detector = self.build()
-        detector.suspected.add("dst")  # simulate an out-of-band mark
+        tb.sim.run(until=1e-3)
+
+        def poll():
+            yield from detector.poll_interval(deadline_s=0.5e-3)
+
         with pytest.raises(PeerCrashed) as excinfo:
-            detector.check("dst")
+            tb.sim.run_until_complete(tb.sim.spawn(poll()))
         assert excinfo.value.reason is not None
-        assert "missed 0" not in str(excinfo.value)
+        assert "deadline" in str(excinfo.value)
+        assert "missed" not in str(excinfo.value)
 
     def test_force_suspect_clears_on_healthy_probe_and_counts_flap(self):
         tb, world, detector = self.build()
         detector.start()
-        detector.force_suspect("dst", "partition report")
-        tb.sim.run(until=1.5e-3)  # one tick with the daemon healthy
+        world.control.mark_daemon_down("dst")
+        tb.sim.run(until=3.5e-3)
+        assert detector.suspects("dst")
+        world.control.mark_daemon_up("dst")
+        tb.sim.run(until=4.5e-3)  # one tick with the daemon healthy
         assert not detector.suspects("dst")
-        assert detector.forced == {}
+        assert detector.misses["dst"] == 0
         assert detector.flaps["dst"] == 1
         detector.check("dst")  # no raise
         detector.stop()
 
     def test_force_suspect_tracks_untracked_peer(self):
+        # Only the peers named at construction are tracked: a down daemon
+        # elsewhere is never suspected, and checking it never raises.
         tb, world, detector = self.build()
-        detector.force_suspect("partner7", "operator mark")
-        assert detector.suspects("partner7")
-        assert "partner7" in detector.peers
-        with pytest.raises(PeerCrashed):
-            detector.check("partner7")
+        detector.start()
+        world.control.mark_daemon_down("partner7")
+        tb.sim.run(until=4.5e-3)
+        assert "partner7" not in detector.peers
+        assert not detector.suspects("partner7")
+        detector.check("partner7")  # no raise
+        detector.check()
+        detector.stop()
 
     def test_stop_folds_counters_into_control_once(self):
         tb, world, detector = self.build()

@@ -1,82 +1,13 @@
-"""Unit tests for sim synchronisation primitives (Queue, Broadcast, Resource)."""
+"""Unit tests for the sim synchronisation primitive (Broadcast)."""
 
 import pytest
 
-from repro.sim import Broadcast, Queue, Resource, SimulationError, Simulator
+from repro.sim import Broadcast, SimulationError, Simulator
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestQueue:
-    def test_put_then_get(self, sim):
-        queue = Queue(sim)
-        queue.put("a")
-
-        def proc():
-            item = yield queue.get()
-            return item
-
-        assert sim.run_until_complete(sim.spawn(proc())) == "a"
-
-    def test_get_blocks_until_put(self, sim):
-        queue = Queue(sim)
-
-        def getter():
-            item = yield queue.get()
-            return (item, sim.now)
-
-        def putter():
-            yield sim.timeout(3.0)
-            queue.put("late")
-
-        process = sim.spawn(getter())
-        sim.spawn(putter())
-        assert sim.run_until_complete(process) == ("late", 3.0)
-
-    def test_fifo_order(self, sim):
-        queue = Queue(sim)
-        for item in [1, 2, 3]:
-            queue.put(item)
-
-        def proc():
-            out = []
-            for _ in range(3):
-                out.append((yield queue.get()))
-            return out
-
-        assert sim.run_until_complete(sim.spawn(proc())) == [1, 2, 3]
-
-    def test_multiple_getters_served_in_order(self, sim):
-        queue = Queue(sim)
-        results = []
-
-        def getter(label):
-            item = yield queue.get()
-            results.append((label, item))
-
-        sim.spawn(getter("first"))
-        sim.spawn(getter("second"))
-        sim.schedule(1.0, lambda: queue.put("x"))
-        sim.schedule(2.0, lambda: queue.put("y"))
-        sim.run()
-        assert results == [("first", "x"), ("second", "y")]
-
-    def test_try_get_nonblocking(self, sim):
-        queue = Queue(sim)
-        assert queue.try_get() is None
-        queue.put(7)
-        assert queue.try_get() == 7
-        assert len(queue) == 0
-
-    def test_peek_all_does_not_consume(self, sim):
-        queue = Queue(sim)
-        queue.put(1)
-        queue.put(2)
-        assert queue.peek_all() == [1, 2]
-        assert len(queue) == 2
 
 
 class TestBroadcast:
@@ -121,50 +52,3 @@ class TestBroadcast:
         assert signal.fired
         signal.reset()
         assert not signal.fired
-
-
-class TestResource:
-    def test_capacity_enforced(self, sim):
-        resource = Resource(sim, capacity=1)
-        timeline = []
-
-        def worker(label, hold):
-            yield resource.acquire()
-            timeline.append((label, "start", sim.now))
-            yield sim.timeout(hold)
-            timeline.append((label, "end", sim.now))
-            resource.release()
-
-        sim.spawn(worker("a", 2.0))
-        sim.spawn(worker("b", 1.0))
-        sim.run()
-        assert timeline == [
-            ("a", "start", 0.0),
-            ("a", "end", 2.0),
-            ("b", "start", 2.0),
-            ("b", "end", 3.0),
-        ]
-
-    def test_parallel_when_capacity_allows(self, sim):
-        resource = Resource(sim, capacity=2)
-        ends = []
-
-        def worker(hold):
-            yield resource.acquire()
-            yield sim.timeout(hold)
-            ends.append(sim.now)
-            resource.release()
-
-        sim.spawn(worker(1.0))
-        sim.spawn(worker(1.0))
-        sim.run()
-        assert ends == [1.0, 1.0]
-
-    def test_release_without_acquire_rejected(self, sim):
-        resource = Resource(sim)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_bad_capacity_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
